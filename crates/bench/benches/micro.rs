@@ -9,7 +9,7 @@ use amac_core::{run_bmmb, Assignment, RunOptions};
 use amac_graph::{generators, DualGraph, NodeId};
 use amac_mac::policies::{EagerPolicy, LazyPolicy};
 use amac_mac::MacConfig;
-use amac_sim::{EventQueue, SimRng, Time};
+use amac_sim::{Duration, EventQueue, SimRng, Time};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -30,6 +30,33 @@ fn bench_event_queue(c: &mut Criterion) {
                 let mut acc = 0u64;
                 while let Some((_, v)) = q.pop() {
                     acc = acc.wrapping_add(v);
+                }
+                black_box(acc)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    // The classic hold model: a steady 1,000 pending events, each step
+    // popping the earliest and scheduling a successor U[1, 64] ticks
+    // later, as the MAC runtime's deliveries, acks and timers do. The
+    // push/pop bench above spreads its times over 2^20 ticks, so it runs
+    // on the far heap alone; this one runs on the calendar ring.
+    c.bench_function("event_queue_hold_1k", |b| {
+        b.iter_batched(
+            || {
+                let mut rng = SimRng::seed(2);
+                let mut q = EventQueue::new();
+                for i in 0..1_000u64 {
+                    q.schedule(Time::from_ticks(1 + rng.below(64)), i);
+                }
+                (q, rng)
+            },
+            |(mut q, mut rng)| {
+                let mut acc = 0u64;
+                for _ in 0..10_000 {
+                    let (t, v) = q.pop().expect("the hold model keeps 1k events pending");
+                    acc = acc.wrapping_add(v);
+                    q.schedule(t + Duration::from_ticks(1 + rng.below(64)), v);
                 }
                 black_box(acc)
             },

@@ -141,10 +141,17 @@ impl<E> Queue<E> {
         }
     }
 
-    fn peek_time(&mut self) -> Option<Time> {
+    fn pop_through(&mut self, horizon: Time) -> Option<(Time, E)> {
         match self {
-            Queue::Single(q) => q.peek_time(),
-            Queue::Sharded { q, .. } => q.peek_time(),
+            Queue::Single(q) => q.pop_through(horizon),
+            Queue::Sharded { q, .. } => q.pop_through(horizon),
+        }
+    }
+
+    fn is_empty(&mut self) -> bool {
+        match self {
+            Queue::Single(q) => q.is_empty(),
+            Queue::Sharded { q, .. } => q.is_empty(),
         }
     }
 }
@@ -582,18 +589,24 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         let Some((_, ev)) = self.queue.pop() else {
             return false;
         };
+        self.process(ev);
+        true
+    }
+
+    /// Handles one popped event.
+    fn process(&mut self, ev: Ev<A::Env>) {
         self.counters.events += 1;
         match ev {
             Ev::Start(node) => {
                 if self.crashed[node.index()] {
-                    return true;
+                    return;
                 }
                 let cmds = self.callback(node, super::node::Automaton::on_start);
                 self.apply(node, cmds);
             }
             Ev::Env(node, input) => {
                 if self.crashed[node.index()] {
-                    return true; // inputs to a crashed node are lost
+                    return; // inputs to a crashed node are lost
                 }
                 self.counters.env += 1;
                 let cmds = self.callback(node, |n, ctx| n.on_env(input, ctx));
@@ -615,7 +628,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             Ev::Timer(node, tag, key) => {
                 if self.timers.remove(&key).is_some() {
                     if self.crashed[node.index()] {
-                        return true; // timer firings during an outage are lost
+                        return; // timer firings during an outage are lost
                     }
                     self.counters.timer += 1;
                     let cmds = self.callback(node, |n, ctx| n.on_timer(tag, ctx));
@@ -625,7 +638,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             Ev::Fault(node, FaultKind::Crash) => self.crash_node(node),
             Ev::Fault(node, FaultKind::Recover) => self.recover_node(node),
         }
-        true
     }
 
     /// Processes the next event if it lies within `horizon`: returns `None`
@@ -636,13 +648,13 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         if self.counters.events >= self.event_limit {
             return Some(RunOutcome::EventLimit);
         }
-        match self.queue.peek_time() {
-            None => Some(RunOutcome::Idle),
-            Some(t) if t > horizon => Some(RunOutcome::TimeLimit),
-            Some(_) => {
-                self.step();
+        match self.queue.pop_through(horizon) {
+            Some((_, ev)) => {
+                self.process(ev);
                 None
             }
+            None if self.queue.is_empty() => Some(RunOutcome::Idle),
+            None => Some(RunOutcome::TimeLimit),
         }
     }
 
@@ -1062,13 +1074,12 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             }
             self.cleanup_instance(inst, v);
         }
-        // Cancel deliveries still headed to the crashed node (crashes are
-        // rare, so the scan over live instances is cheap in practice).
-        for idx in 0..self.instances.len() {
-            let st = &mut self.instances[idx];
-            if st.terminated.is_some() {
-                continue;
-            }
+        // Cancel deliveries still headed to the crashed node. Only
+        // instances in flight hold pending deliveries, and each sender has
+        // at most one, so walking the senders costs O(n) per crash however
+        // many instances the run has created.
+        for inst in self.in_flight_of.iter().flatten() {
+            let st = &mut self.instances[inst.index()];
             if let Some(pos) = st.pending.iter().position(|(n, _)| *n == v) {
                 let (_, ev) = st.pending.remove(pos);
                 self.queue.cancel(ev);

@@ -9,10 +9,11 @@
 //! * [`Time`] / [`Duration`] — integer-tick simulated time (all the paper's
 //!   proofs are interval arithmetic over `F_prog`/`F_ack` sums, which ticks
 //!   preserve exactly);
-//! * [`EventQueue`] — a pending-event queue with stable FIFO ordering at
-//!   equal timestamps, so zero-delay step chains have a well-defined,
-//!   reproducible order, plus O(1) lazy cancellation (needed for the
-//!   enhanced MAC layer's `abort`);
+//! * [`EventQueue`] — a calendar queue (a ring of [`RING_TICKS`] one-tick
+//!   buckets plus a far heap) with stable FIFO ordering at equal
+//!   timestamps, so zero-delay step chains have a well-defined,
+//!   reproducible order, plus O(1) cancellation (needed for the enhanced
+//!   MAC layer's `abort`);
 //! * [`ShardedEventQueue`] — the same total order over K per-shard queues
 //!   with a shared sequence counter and conservative time-windowed
 //!   cross-shard outboxes: the substrate of the sharded MAC runtime,
@@ -50,7 +51,7 @@ mod time;
 pub use hash::{fnv1a64, FastHashMap, FastHashSet, FastHasher, Fnv1a};
 pub use queue::{
     EventId, EventQueue, ShardProfile, ShardSample, ShardStats, ShardedEventQueue, WindowTuning,
-    WorkerLane, MAX_SHARDS,
+    WorkerLane, MAX_SHARDS, RING_TICKS,
 };
 pub use rng::SimRng;
 pub use time::{Duration, Time};

@@ -5,19 +5,45 @@
 //! lets us model the paper's zero-delay automaton steps: a chain of events
 //! scheduled "now" executes in a well-defined order without time passing.
 //!
+//! ## Calendar layout
+//!
+//! [`EventQueue`] is a calendar queue (Brown, CACM 1988) over integer
+//! ticks. Nearly every event the MAC runtime schedules — deliveries, acks,
+//! progress checks, protocol round timers — is due within `F_ack` ticks of
+//! now, so the queue has three parts:
+//!
+//! * the **slot table**: one entry per pending event holding its payload,
+//!   its `(time, seq)` key, its generation stamp and its bucket links;
+//! * a **ring** of [`RING_TICKS`] one-tick buckets covering
+//!   `[base, base + RING_TICKS)`, where `base` is the time of the last
+//!   popped event. Each bucket is a FIFO doubly linked list threaded
+//!   through the slot table, and a 256-bit occupancy bitmap finds the next
+//!   non-empty tick in at most five word tests, so scheduling into the
+//!   ring and popping from it are O(1);
+//! * a **far heap** (`BinaryHeap` of `(time, seq, slot)` keys) for events
+//!   due at or beyond `base + RING_TICKS` (fault plans, `inject_at`, long
+//!   timers). Whenever `base` advances, the far events that now fall
+//!   inside the ring move into their buckets in `(time, seq)` order.
+//!
+//! Inside a bucket, FIFO order is `(time, seq)` order because sequence
+//! numbers only grow. The one exception is the sharded queue's barrier
+//! merge, which can push an event with an older sequence number into a
+//! bucket that already holds newer ones; [`EventQueue::push_entry`]
+//! inserts it by walking back from the bucket's tail.
+//!
 //! ## Cancellation: slot-generation ids
 //!
-//! Cancellation is O(1) and allocation-free: every scheduled event occupies
-//! a *slot* (an index into a dense `Vec`) stamped with a *generation*
-//! counter, and its [`EventId`] is the `(slot, generation)` pair. Cancelling
-//! or delivering an event bumps the slot's generation, which atomically
-//! invalidates the id and recycles the slot for the next `schedule` — no
-//! hash-set tombstones, no per-event hashing on the hot path. Heap entries
-//! whose generation no longer matches their slot are skipped (and
-//! reclaimed) when they surface; when cancelled entries ever outnumber live
-//! ones the heap is compacted in place, so queue memory stays proportional
-//! to the number of *live* events even across millions of
-//! schedule/cancel cycles.
+//! An [`EventId`] is a `(slot, generation)` pair. Cancelling or delivering
+//! an event bumps its slot's generation, which invalidates the id, and
+//! recycles the slot for the next `schedule` — no hash-set tombstones, no
+//! per-event hashing on the hot path. A ring event is cancelled
+//! **eagerly**: it is unlinked from its bucket in O(1) and its payload
+//! dropped. A far-heap event, or one the threaded sharded drain has
+//! already extracted, is cancelled **lazily**: its key is skipped (and
+//! reclaimed) when it surfaces, and the far heap is compacted in place
+//! whenever cancelled keys outnumber live ones. Queue memory therefore
+//! stays proportional to the number of *live* events even across millions
+//! of schedule/cancel cycles.
 
 use crate::time::{Duration, Time};
 use std::cmp::Ordering;
@@ -36,6 +62,8 @@ pub struct EventId {
     generation: u32,
 }
 
+/// A fully keyed event the sharded queue holds outside its shards' event
+/// queues: in an extracted run or in the overlay heap.
 struct Entry<E> {
     at: Time,
     seq: u64,
@@ -65,12 +93,75 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Minimum heap size before compaction is considered (avoids churn on tiny
-/// queues where the stale entries are cheaper than a rebuild).
+/// A far-heap key. The payload waits in the slot table, so heap sifts
+/// move 24 bytes whatever the event type.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct FarKey {
+    at: Time,
+    seq: u64,
+    slot: u32,
+    generation: u32,
+}
+
+impl PartialOrd for FarKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for FarKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Earliest-first, as for `Entry`; sequence numbers are unique.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// Minimum far-heap size before compaction is considered (avoids churn on
+/// tiny heaps where the stale keys are cheaper than a rebuild).
 const COMPACT_MIN: usize = 64;
 
+/// Width of the [`EventQueue`] calendar ring, in ticks: an event due less
+/// than `RING_TICKS` after the ring base goes into a one-tick bucket, a
+/// later one into the far heap. With `F_ack ≤ 255`, as in most
+/// configurations the experiments and benchmarks run, every delivery, ack
+/// and progress check lands in the ring; the sweeps to larger `F_ack`
+/// send their acks and late deliveries through the far heap. The
+/// occupancy bitmap is four words.
+pub const RING_TICKS: u64 = 256;
+
+const RING: usize = RING_TICKS as usize;
+
+/// Words in the ring's occupancy bitmap.
+const BITMAP_WORDS: usize = RING / 64;
+
+/// Link sentinel: no slot.
+const NIL: u32 = u32::MAX;
+
+/// `Slot::prev` of a slot that is not linked into the ring: its event
+/// waits in the far heap, was handed out to the sharded queue, or is not
+/// queued yet.
+const DETACHED: u32 = u32::MAX - 1;
+
+/// Ring bucket of an instant.
+#[inline]
+fn bucket_of(at: Time) -> usize {
+    (at.ticks() % RING_TICKS) as usize
+}
+
+/// One slot of the table every pending event owns.
+struct Slot<E> {
+    generation: u32,
+    /// Neighbours in the bucket's list ([`NIL`] at either end), or
+    /// [`DETACHED`] in `prev` when the slot is not in the ring.
+    prev: u32,
+    next: u32,
+    seq: u64,
+    at: Time,
+    /// The payload while the event is queued here (ring or far heap).
+    event: Option<E>,
+}
+
 /// A time-ordered queue of simulation events with stable FIFO tie-breaking
-/// and O(1) slot-generation cancellation (see the crate docs).
+/// and O(1) slot-generation cancellation (see the module docs).
 ///
 /// # Examples
 ///
@@ -85,13 +176,23 @@ const COMPACT_MIN: usize = 64;
 /// assert_eq!(q.now(), Time::from_ticks(1));
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Current generation per slot. A heap entry is live iff its stamped
-    /// generation equals its slot's current generation.
-    generations: Vec<u32>,
+    slots: Vec<Slot<E>>,
     /// Recycled slot indices available for the next `schedule`.
     free: Vec<u32>,
-    /// Heap entries that are cancelled but not yet reclaimed.
+    /// Per ring bucket: `(head, tail)` slots of its list.
+    buckets: Box<[(u32, u32); RING]>,
+    /// Bit `b` is set iff bucket `b` is non-empty.
+    occupied: [u64; BITMAP_WORDS],
+    /// Start of the ring: every live event due before
+    /// `base + RING_TICKS` is linked into a bucket. Never later than the
+    /// earliest pending event.
+    base: Time,
+    /// Events linked into the ring.
+    ring_len: usize,
+    /// Keys of the events due at or beyond `base + RING_TICKS`.
+    far: BinaryHeap<FarKey>,
+    /// Lazily cancelled entries not yet reclaimed: far-heap keys, plus
+    /// events the sharded queue holds outside this queue.
     stale: usize,
     next_seq: u64,
     now: Time,
@@ -102,9 +203,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`Time::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            generations: Vec::new(),
+            slots: Vec::new(),
             free: Vec::new(),
+            buckets: Box::new([(NIL, NIL); RING]),
+            occupied: [0; BITMAP_WORDS],
+            base: Time::ZERO,
+            ring_len: 0,
+            far: BinaryHeap::new(),
             stale: 0,
             next_seq: 0,
             now: Time::ZERO,
@@ -143,38 +248,218 @@ impl<E> EventQueue<E> {
     }
 
     /// Reserves a slot (stamped with its current generation) without
-    /// pushing a heap entry — the caller owns delivering the entry later
-    /// via [`push_entry`](EventQueue::push_entry). Used by the sharded
-    /// queue's outboxes, where the id must exist (for cancellation) before
-    /// the event is merged into the heap at the next barrier.
+    /// queueing anything — the caller owns delivering the event later via
+    /// [`push_entry`](EventQueue::push_entry). Used by the sharded queue's
+    /// outboxes, where the id must exist (for cancellation) before the
+    /// event is merged into the queue at the next barrier.
     fn alloc_slot(&mut self) -> EventId {
         let slot = match self.free.pop() {
-            Some(slot) => slot,
+            Some(slot) => {
+                self.slots[slot as usize].prev = DETACHED;
+                slot
+            }
             None => {
-                let slot = u32::try_from(self.generations.len())
-                    .expect("more than u32::MAX concurrently scheduled events");
-                self.generations.push(0);
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s < DETACHED)
+                    .expect("more than u32::MAX - 2 concurrently scheduled events");
+                self.slots.push(Slot {
+                    generation: 0,
+                    prev: DETACHED,
+                    next: NIL,
+                    seq: 0,
+                    at: Time::ZERO,
+                    event: None,
+                });
                 slot
             }
         };
         EventId {
             slot,
-            generation: self.generations[slot as usize],
+            generation: self.slots[slot as usize].generation,
         }
     }
 
-    /// Pushes a fully specified heap entry for a slot reserved with
-    /// [`alloc_slot`](EventQueue::alloc_slot). The `(at, seq)` pair is the
-    /// caller's: the sharded queue assigns sequence numbers from a single
-    /// shared counter so the merged order equals the sequential one.
+    /// Whether `id` still names a pending (or reserved) event.
+    fn is_live(&self, id: EventId) -> bool {
+        self.slots
+            .get(id.slot as usize)
+            .is_some_and(|s| s.generation == id.generation)
+    }
+
+    /// Queues a fully specified event for a slot reserved with
+    /// [`alloc_slot`](EventQueue::alloc_slot): into its ring bucket, or
+    /// into the far heap. The `(at, seq)` pair is the caller's: the
+    /// sharded queue assigns sequence numbers from a single shared counter
+    /// so the merged order equals the sequential one, and its barrier
+    /// merge may hand over an older `seq` than the bucket already holds.
     fn push_entry(&mut self, at: Time, seq: u64, id: EventId, event: E) {
-        self.heap.push(Entry {
-            at,
-            seq,
-            slot: id.slot,
-            generation: id.generation,
-            event,
-        });
+        debug_assert!(at >= self.base, "{at:?} precedes the ring base");
+        self.slots[id.slot as usize].event = Some(event);
+        if at.ticks() - self.base.ticks() < RING_TICKS {
+            self.link(id.slot, at, seq);
+        } else {
+            self.far.push(FarKey {
+                at,
+                seq,
+                slot: id.slot,
+                generation: id.generation,
+            });
+        }
+    }
+
+    /// Links `slot` into the bucket of `at`, after the last entry with a
+    /// smaller sequence number: an append, unless an older sequence number
+    /// arrives late, which walks back from the tail.
+    fn link(&mut self, slot: u32, at: Time, seq: u64) {
+        let b = bucket_of(at);
+        let (head, tail) = self.buckets[b];
+        let mut after = tail;
+        while after != NIL && self.slots[after as usize].seq > seq {
+            after = self.slots[after as usize].prev;
+        }
+        let before = if after == NIL {
+            head
+        } else {
+            self.slots[after as usize].next
+        };
+        let s = &mut self.slots[slot as usize];
+        s.prev = after;
+        s.next = before;
+        s.seq = seq;
+        s.at = at;
+        if after == NIL {
+            self.buckets[b].0 = slot;
+        } else {
+            self.slots[after as usize].next = slot;
+        }
+        if before == NIL {
+            self.buckets[b].1 = slot;
+        } else {
+            self.slots[before as usize].prev = slot;
+        }
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.ring_len += 1;
+    }
+
+    /// Unlinks a ring slot from its bucket and takes its event.
+    fn unlink(&mut self, slot: u32) -> E {
+        let s = &mut self.slots[slot as usize];
+        let (prev, next, b) = (s.prev, s.next, bucket_of(s.at));
+        s.prev = DETACHED;
+        let event = s.event.take().expect("a ring slot holds its event");
+        if prev == NIL {
+            self.buckets[b].0 = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.buckets[b].1 = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+        if prev == NIL && next == NIL {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.ring_len -= 1;
+        event
+    }
+
+    /// The first non-empty bucket in ring order from the base's bucket:
+    /// the bucket of the earliest ring event.
+    fn next_bucket(&self) -> Option<usize> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        let start = bucket_of(self.base);
+        let (word, bit) = (start / 64, start % 64);
+        let ahead = self.occupied[word] & (u64::MAX << bit);
+        if ahead != 0 {
+            return Some(word * 64 + ahead.trailing_zeros() as usize);
+        }
+        for step in 1..=BITMAP_WORDS {
+            let w = (word + step) % BITMAP_WORDS;
+            let bits = if step == BITMAP_WORDS {
+                // Back at the base's word: the buckets behind it, which
+                // hold the ring's last ticks.
+                self.occupied[w] & !(u64::MAX << bit)
+            } else {
+                self.occupied[w]
+            };
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+        }
+        debug_assert!(false, "ring_len > 0 but the bitmap is empty");
+        None
+    }
+
+    /// The far heap's earliest live key, reclaiming cancelled ones on the
+    /// way.
+    fn far_head(&mut self) -> Option<FarKey> {
+        while let Some(&key) = self.far.peek() {
+            if self.slots[key.slot as usize].generation == key.generation {
+                return Some(key);
+            }
+            self.far.pop();
+            self.stale = self.stale.saturating_sub(1);
+        }
+        None
+    }
+
+    /// Moves the ring base forward to `base` and links the far events now
+    /// inside the ring into their buckets, in `(time, seq)` order. Those
+    /// buckets are empty beforehand: the ring held nothing past the old
+    /// `base + RING_TICKS`.
+    fn advance_base(&mut self, base: Time) {
+        self.base = base;
+        while let Some(&key) = self.far.peek() {
+            if key.at.ticks() - base.ticks() >= RING_TICKS {
+                break;
+            }
+            self.far.pop();
+            if self.slots[key.slot as usize].generation == key.generation {
+                self.link(key.slot, key.at, key.seq);
+            } else {
+                self.stale = self.stale.saturating_sub(1);
+            }
+        }
+    }
+
+    /// Takes the earliest live event if it is due no later than
+    /// `through`, advancing the ring base to its time. Returns its
+    /// `(time, seq, slot, event)`; the slot is left allocated, with its
+    /// generation, for the caller to retire.
+    fn take_next(&mut self, through: Time) -> Option<(Time, u64, u32, E)> {
+        let Some(b) = self.next_bucket() else {
+            // Empty ring: the far heap's head is next. Take it straight
+            // from the heap and jump the base to it, which pulls the rest
+            // of the new ring's span in.
+            let key = self.far_head()?;
+            if key.at > through {
+                return None;
+            }
+            self.far.pop();
+            self.advance_base(key.at);
+            let event = self.slots[key.slot as usize]
+                .event
+                .take()
+                .expect("a live far key's slot holds its event");
+            return Some((key.at, key.seq, key.slot, event));
+        };
+        let slot = self.buckets[b].0;
+        let (at, seq) = {
+            let s = &self.slots[slot as usize];
+            (s.at, s.seq)
+        };
+        if at > through {
+            return None;
+        }
+        if at > self.base {
+            self.advance_base(at);
+        }
+        let event = self.unlink(slot);
+        Some((at, seq, slot, event))
     }
 
     /// Schedules `event` after a relative delay from now.
@@ -185,61 +470,66 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event had
     /// not yet been delivered or cancelled; cancelling an already-delivered
     /// (or unknown, or already-cancelled) id is a no-op returning `false`.
-    /// `O(1)` amortized; the cancelled entry's heap slot is reclaimed when
-    /// it reaches the front, or by compaction when stale entries ever
-    /// outnumber live ones.
+    /// `O(1)`: the payload is dropped at once, and a ring event is also
+    /// unlinked; a far-heap key is reclaimed when it reaches the front, or
+    /// by compaction when stale keys ever outnumber live ones (amortized
+    /// O(1)).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self
-            .generations
-            .get(id.slot as usize)
-            .is_some_and(|&g| g == id.generation)
-        {
+        if !self.is_live(id) {
+            return false;
+        }
+        if self.slots[id.slot as usize].prev == DETACHED {
+            self.slots[id.slot as usize].event = None;
             self.retire(id.slot);
             self.stale += 1;
             self.maybe_compact();
-            true
         } else {
-            false
+            drop(self.unlink(id.slot));
+            self.retire(id.slot);
         }
+        true
     }
 
     /// Bumps a slot's generation (invalidating every outstanding id and
-    /// heap entry stamped with it) and recycles it.
+    /// key stamped with it) and recycles it.
     fn retire(&mut self, slot: u32) {
-        self.generations[slot as usize] = self.generations[slot as usize].wrapping_add(1);
+        let s = &mut self.slots[slot as usize];
+        s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
     }
 
-    /// Rebuilds the heap without its stale entries once they outnumber the
-    /// live ones. Amortized O(1) per cancel: a rebuild costing O(heap) only
-    /// runs after at least heap/2 cancellations.
+    /// Rebuilds the far heap without its stale keys once they outnumber
+    /// the live ones. Amortized O(1) per cancel: a rebuild costing
+    /// O(heap) only runs after at least heap/2 cancellations.
     fn maybe_compact(&mut self) {
-        if self.heap.len() < COMPACT_MIN || self.stale * 2 < self.heap.len() {
+        if self.far.len() < COMPACT_MIN || self.stale * 2 < self.far.len() {
             return;
         }
-        let generations = &self.generations;
-        let entries: Vec<Entry<E>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|e| generations[e.slot as usize] == e.generation)
-            .collect();
-        self.heap = BinaryHeap::from(entries);
+        let slots = &self.slots;
+        self.far
+            .retain(|key| slots[key.slot as usize].generation == key.generation);
         self.stale = 0;
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Ties are broken by scheduling order.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.generations[entry.slot as usize] != entry.generation {
-                self.stale = self.stale.saturating_sub(1);
-                continue; // cancelled: skip and reclaim
-            }
-            self.retire(entry.slot);
-            self.now = entry.at;
-            self.popped += 1;
-            return Some((entry.at, entry.event));
-        }
-        None
+        self.pop_through(Time::MAX)
+    }
+
+    /// Removes and returns the earliest pending event if it is due no
+    /// later than `horizon` (inclusive), advancing the clock to its
+    /// timestamp. Returns `None` if the queue is empty or its next event
+    /// lies beyond `horizon` ([`is_empty`](EventQueue::is_empty) tells the
+    /// two apart). One head lookup per event, where
+    /// [`peek_time`](EventQueue::peek_time) followed by
+    /// [`pop`](EventQueue::pop) takes two.
+    pub fn pop_through(&mut self, horizon: Time) -> Option<(Time, E)> {
+        let (at, _, slot, event) = self.take_next(horizon)?;
+        self.retire(slot);
+        self.now = at;
+        self.popped += 1;
+        Some((at, event))
     }
 
     /// Timestamp of the next pending event without removing it.
@@ -250,48 +540,46 @@ impl<E> EventQueue<E> {
     /// `(time, sequence)` key of the next pending event without removing
     /// it — the total order the sharded queue's K-way merge selects on.
     fn peek_key(&mut self) -> Option<(Time, u64)> {
-        while let Some(entry) = self.heap.peek() {
-            if self.generations[entry.slot as usize] != entry.generation {
-                self.heap.pop();
-                self.stale = self.stale.saturating_sub(1);
-                continue;
-            }
-            return Some((entry.at, entry.seq));
+        if let Some(b) = self.next_bucket() {
+            let s = &self.slots[self.buckets[b].0 as usize];
+            return Some((s.at, s.seq));
         }
-        None
+        self.far_head().map(|key| (key.at, key.seq))
     }
 
-    /// Drains every entry with `at < end` from the heap into `out`, in
-    /// `(time, seq)` order, **without** retiring slot generations — the
-    /// threaded sharded drain extracts a window's events on a worker
-    /// thread and defers retirement to the coordinator's canonical
-    /// consume, so post-extraction cancels still observe a live id.
-    /// Stale (cancelled) entries are dropped and reclaimed here.
+    /// Drains every event with `at < end` into `out`, in `(time, seq)`
+    /// order, **without** retiring slot generations — the threaded
+    /// sharded drain extracts a window's events on a worker thread and
+    /// defers retirement to the coordinator's canonical consume, so
+    /// post-extraction cancels still observe a live id (and take the lazy
+    /// path). Stale far-heap keys met on the way are reclaimed.
     fn extract_window(&mut self, end: Time, out: &mut VecDeque<Entry<E>>) {
-        while let Some(head) = self.heap.peek() {
-            if head.at >= end {
-                break;
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            if self.generations[entry.slot as usize] != entry.generation {
-                self.stale = self.stale.saturating_sub(1);
-                continue;
-            }
-            out.push_back(entry);
+        let Some(last) = end.ticks().checked_sub(1) else {
+            return;
+        };
+        while let Some((at, seq, slot, event)) = self.take_next(Time::from_ticks(last)) {
+            out.push_back(Entry {
+                at,
+                seq,
+                slot,
+                generation: self.slots[slot as usize].generation,
+                event,
+            });
         }
     }
 
-    /// Merges a barrier inbox into the heap: live entries are pushed with
+    /// Merges a barrier inbox into the queue: live entries are pushed with
     /// their original `(at, seq)` key, cancelled-while-buffered entries are
     /// dropped and the stale counter rebalanced (their cancel counted a
-    /// heap entry that was never pushed).
+    /// lazy entry that was never pushed).
     fn integrate_inbox(&mut self, inbox: &mut Vec<Inboxed<E>>) {
         // Canonical per-destination batch order (determinism rule 5): the
-        // heap's pop order is independent of push order, but the batch
-        // order stays the documented `(tick, seq)` one.
+        // pop order is independent of push order, but the batch order
+        // stays the documented `(tick, seq)` one, which also makes every
+        // bucket insertion an append.
         inbox.sort_unstable_by_key(|i| (i.at, i.seq));
         for i in inbox.drain(..) {
-            if self.generations[i.id.slot as usize] == i.id.generation {
+            if self.is_live(i.id) {
                 self.push_entry(i.at, i.seq, i.id, i.event);
             } else {
                 self.stale = self.stale.saturating_sub(1);
@@ -301,13 +589,13 @@ impl<E> EventQueue<E> {
 
     /// Returns `true` if no deliverable events remain.
     pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
+        self.peek_key().is_none()
     }
 
-    /// Number of pending entries, **including** not-yet-reclaimed
+    /// Number of queued entries, **including** not-yet-reclaimed far-heap
     /// cancellations (an upper bound on deliverable events).
     pub fn pending_upper_bound(&self) -> usize {
-        self.heap.len()
+        self.ring_len + self.far.len()
     }
 }
 
@@ -321,7 +609,7 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending_upper_bound())
             .field("delivered", &self.popped)
             .finish()
     }
@@ -339,8 +627,8 @@ pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
 
 /// One cross-shard event parked until the next window barrier: it already
 /// owns its global sequence number and a reserved slot in the destination
-/// shard (so cancellation works while parked), but its heap entry is only
-/// merged at the barrier.
+/// shard (so cancellation works while parked), but it only enters the
+/// destination queue at the barrier.
 struct Outboxed<E> {
     dest: u32,
     at: Time,
@@ -352,7 +640,7 @@ struct Outboxed<E> {
 /// One event buffered for a *future* window under the threaded drain: it
 /// owns its global sequence number and a reserved slot on the destination
 /// shard (so cancellation works while buffered), and a worker thread
-/// integrates it into the destination heap at the next barrier.
+/// integrates it into the destination queue at the next barrier.
 struct Inboxed<E> {
     at: Time,
     seq: u64,
@@ -424,23 +712,23 @@ struct ThreadedState<E> {
     /// Worker threads per barrier (clamped to the shard count).
     threads: usize,
     /// Per-shard sorted runs of the current window, extracted from the
-    /// heaps by the barrier workers and consumed front-to-back by the
+    /// shard queues by the barrier workers and consumed front-to-back by the
     /// coordinator's global `(time, seq)` argmin.
     runs: Vec<VecDeque<Entry<E>>>,
     /// Events scheduled *inside* the current window (same- or cross-shard
-    /// zero-lookahead spawns): the shard heaps are already extracted, so
+    /// zero-lookahead spawns): the shard queues are already extracted, so
     /// these merge through a coordinator-local overlay heap. Entries pack
     /// the destination shard into the slot word like public ids.
     overlay: BinaryHeap<Entry<E>>,
     /// Per shard: overlay entries destined for it (pending accounting).
     overlay_per_shard: Vec<usize>,
     /// Per destination shard: events buffered for future windows,
-    /// integrated into the heaps by the barrier workers.
+    /// integrated into the shard queues by the barrier workers.
     inboxes: Vec<Vec<Inboxed<E>>>,
     /// Total entries across all inboxes (cheap emptiness/compaction test).
     inbox_len: usize,
     /// Successful cancels since the inboxes/overlay were last compacted —
-    /// the same stale-versus-live policy as the heaps, so schedule/cancel
+    /// the same stale-versus-live policy as the far heaps, so schedule/cancel
     /// churn of buffered events cannot grow memory between barriers.
     buffered_cancels: usize,
     /// Current window width (equals `base_width` under
@@ -496,7 +784,7 @@ pub struct ShardStats {
     /// deployment each one is a synchronization point; the counter
     /// quantifies how conservative the windowing is for a workload.
     pub lookahead_misses: u64,
-    /// Per shard: peak pending events (heap entries plus parked outbox
+    /// Per shard: peak pending events (queued entries plus parked outbox
     /// entries destined for the shard).
     pub peak_pending: Vec<usize>,
     /// Per shard: accumulated idle ticks at window barriers — for each
@@ -637,12 +925,12 @@ struct ProfileState {
 /// Shards advance through windows of a fixed lookahead `L` (the MAC
 /// layer passes `min(F_prog, F_ack)`): within the window `[w, w+L)` every
 /// popped event has time `< w+L`, and a cross-shard event scheduled at or
-/// beyond `w+L` is **not** inserted into the destination heap immediately
+/// beyond `w+L` is **not** inserted into the destination queue immediately
 /// — it is parked in an outbox and merged at the barrier, batched with
 /// everything else that crossed shards this window, in canonical
 /// `(tick, destination shard, sequence)` order. Parking is order-safe
 /// precisely because of the window invariant: nothing with time `≥ w+L`
-/// can be popped before the barrier, so deferring the heap insertion is
+/// can be popped before the barrier, so deferring the insertion is
 /// unobservable. Cross-shard events *inside* the window (zero-delay
 /// chains, deliveries faster than the lookahead) are routed immediately
 /// and counted as [`lookahead_misses`](ShardStats::lookahead_misses).
@@ -676,7 +964,7 @@ pub struct ShardedEventQueue<E> {
     last_pop: Vec<Time>,
     /// Successful cancels since the outbox was last compacted — an upper
     /// bound on the cancelled entries parked there, driving the same
-    /// stale-versus-live compaction policy as the heaps.
+    /// stale-versus-live compaction policy as the far heaps.
     outbox_cancels: usize,
     stats: ShardStats,
     /// Wall-clock self-profiling, opt-in (see [`ShardProfile`]).
@@ -792,7 +1080,7 @@ impl<E> ShardedEventQueue<E> {
         );
         let cross = self.current_shard.is_some_and(|src| src != shard);
         let pending = if let Some(ts) = &mut self.threaded {
-            // Threaded drain: the heaps were extracted up to `window_end`,
+            // Threaded drain: the shard queues were extracted up to `window_end`,
             // so in-window events merge through the coordinator's overlay
             // and future events are buffered for worker-side integration
             // at the next barrier. The counters keep the fused semantics:
@@ -860,7 +1148,7 @@ impl<E> ShardedEventQueue<E> {
         self.schedule(shard, self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event (parked or heap-resident).
+    /// Cancels a previously scheduled event (parked or queue-resident).
     /// Same semantics as [`EventQueue::cancel`].
     pub fn cancel(&mut self, id: EventId) -> bool {
         let shard = (id.slot >> SHARD_SHIFT) as usize;
@@ -874,7 +1162,7 @@ impl<E> ShardedEventQueue<E> {
         if cancelled {
             // The cancel may have hit a parked outbox entry; compact the
             // outbox once cancels could account for half of it (amortized
-            // O(1) per cancel, same policy as the heap compaction), so
+            // O(1) per cancel, same policy as the far-heap compaction), so
             // schedule/cancel churn of parked events cannot grow memory.
             self.outbox_cancels += 1;
             if self.outbox.len() >= COMPACT_MIN && self.outbox_cancels * 2 >= self.outbox.len() {
@@ -910,7 +1198,7 @@ impl<E> ShardedEventQueue<E> {
         for (shard, inbox) in inboxes.iter_mut().enumerate() {
             let q = &mut shards[shard];
             inbox.retain(|i| {
-                let live = q.generations[i.id.slot as usize] == i.id.generation;
+                let live = q.is_live(i.id);
                 if !live {
                     *inbox_len -= 1;
                     q.stale = q.stale.saturating_sub(1);
@@ -920,8 +1208,10 @@ impl<E> ShardedEventQueue<E> {
         }
         overlay.retain(|e| {
             let shard = (e.slot >> SHARD_SHIFT) as usize;
-            let slot = (e.slot & LOCAL_SLOT_MASK) as usize;
-            let live = shards[shard].generations[slot] == e.generation;
+            let live = shards[shard].is_live(EventId {
+                slot: e.slot & LOCAL_SLOT_MASK,
+                generation: e.generation,
+            });
             if !live {
                 overlay_per_shard[shard] -= 1;
                 shards[shard].stale = shards[shard].stale.saturating_sub(1);
@@ -938,7 +1228,7 @@ impl<E> ShardedEventQueue<E> {
         let mut kept = Vec::with_capacity(self.outbox.len());
         for o in std::mem::take(&mut self.outbox) {
             let dest = o.dest as usize;
-            if self.shards[dest].generations[o.id.slot as usize] == o.id.generation {
+            if self.shards[dest].is_live(o.id) {
                 kept.push(o);
             } else {
                 self.outboxed_per_shard[dest] -= 1;
@@ -991,6 +1281,16 @@ impl<E> ShardedEventQueue<E> {
         Some((at, event))
     }
 
+    /// Removes and returns the earliest pending event if it is due no
+    /// later than `horizon` (inclusive). Same semantics as
+    /// [`EventQueue::pop_through`].
+    pub fn pop_through(&mut self, horizon: Time) -> Option<(Time, E)> {
+        match self.peek_time() {
+            Some(at) if at <= horizon => self.pop(),
+            _ => None,
+        }
+    }
+
     /// Timestamp of the next pending event without removing it.
     pub fn peek_time(&mut self) -> Option<Time> {
         if self.threaded.is_some() {
@@ -1026,7 +1326,7 @@ impl<E> ShardedEventQueue<E> {
 
     /// Selects the shard holding the globally earliest live event,
     /// advancing windows (flushing outboxes) as needed. Returns `None`
-    /// only when every heap and the outbox are exhausted.
+    /// only when every shard queue and the outbox are exhausted.
     fn settle(&mut self) -> Option<usize> {
         loop {
             let mut best: Option<(Time, u64, usize)> = None;
@@ -1048,7 +1348,7 @@ impl<E> ShardedEventQueue<E> {
     /// Crosses the window barrier: accounts per-shard slack, flushes the
     /// outbox in canonical `(tick, destination shard, sequence)` order,
     /// and opens the next window at the earliest remaining event.
-    fn advance_window(&mut self, next_heap_time: Option<Time>) {
+    fn advance_window(&mut self, next_queued: Option<Time>) {
         let barrier_start = self.profiling.is_some().then(std::time::Instant::now);
         let barrier_tick = self.window_end.ticks();
         self.stats.barriers += 1;
@@ -1060,7 +1360,7 @@ impl<E> ShardedEventQueue<E> {
         // Canonical cross-shard merge order (determinism rule 5). The sort
         // key is total — sequence numbers are unique — so the batch order
         // is independent of outbox insertion order. Heap insertion order
-        // does not affect pop order (the heap sorts by `(time, seq)`), but
+        // does not affect pop order (the queues order by `(time, seq)`), but
         // the canonical batch order is part of the documented contract and
         // keeps any future batched side effects deterministic.
         let merge_start = self.profiling.is_some().then(std::time::Instant::now);
@@ -1069,14 +1369,14 @@ impl<E> ShardedEventQueue<E> {
         for o in std::mem::take(&mut self.outbox) {
             let dest = o.dest as usize;
             self.outboxed_per_shard[dest] -= 1;
-            if self.shards[dest].generations[o.id.slot as usize] == o.id.generation {
+            if self.shards[dest].is_live(o.id) {
                 if earliest_flushed.map_or(true, |t| o.at < t) {
                     earliest_flushed = Some(o.at);
                 }
                 self.shards[dest].push_entry(o.at, o.seq, o.id, o.event);
             } else {
                 // Cancelled while parked: the cancel bumped the slot
-                // generation and counted a stale heap entry that was never
+                // generation and counted a stale entry that was never
                 // pushed — rebalance the destination's stale counter.
                 self.shards[dest].stale = self.shards[dest].stale.saturating_sub(1);
             }
@@ -1084,7 +1384,7 @@ impl<E> ShardedEventQueue<E> {
         // The next window starts at the earliest remaining event; when
         // nothing remains the window still moves forward so the loop in
         // `settle` terminates.
-        let next = match (next_heap_time, earliest_flushed) {
+        let next = match (next_queued, earliest_flushed) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (Some(a), None) => Some(a),
             (None, b) => b,
@@ -1187,9 +1487,12 @@ impl<E> ShardedEventQueue<E> {
             };
             let (shard, entry) = self.take_candidate(src);
             let q = &mut self.shards[shard];
-            if q.generations[entry.slot as usize] != entry.generation {
+            if !q.is_live(EventId {
+                slot: entry.slot,
+                generation: entry.generation,
+            }) {
                 // Cancelled after extraction/buffering: rebalance the
-                // stale count its cancel charged to the heap.
+                // stale count its cancel charged to the shard queue.
                 q.stale = q.stale.saturating_sub(1);
                 continue;
             }
@@ -1229,7 +1532,7 @@ impl<E> ShardedEventQueue<E> {
                         )
                     }
                 };
-                self.shards[shard].generations[slot as usize] == generation
+                self.shards[shard].is_live(EventId { slot, generation })
             };
             if live {
                 return Some(at);
@@ -1279,14 +1582,14 @@ impl<E> ShardedEventQueue<E> {
     /// phases via the stored driver. Returns `false` when nothing
     /// deliverable remains anywhere.
     fn threaded_advance(&mut self) -> bool {
-        let has_heap = self.shards.iter().any(|q| !q.heap.is_empty());
+        let has_queued = self.shards.iter().any(|q| q.pending_upper_bound() > 0);
         let had_inbox = self
             .threaded
             .as_ref()
             .expect("threaded drain enabled")
             .inbox_len
             > 0;
-        if !has_heap && !had_inbox {
+        if !has_queued && !had_inbox {
             return false;
         }
         self.retune_window();
@@ -1316,7 +1619,7 @@ impl<E> ShardedEventQueue<E> {
         // A barrier is *counted* (stats and slack) exactly when the fused
         // coordinator would have crossed one: a live event at or beyond
         // the window end (`next_start`), or buffered events to flush. The
-        // remaining case — only cancelled heap entries left — is the
+        // remaining case — only cancelled far-heap entries left — is the
         // fused settle's silent lazy reclamation, not a barrier.
         let counted = next_start.is_some() || had_inbox;
         if counted {
@@ -1330,7 +1633,7 @@ impl<E> ShardedEventQueue<E> {
         {
             let ts = self.threaded.as_mut().expect("threaded drain enabled");
             // The workers drained every inbox (live entries into the
-            // heaps, cancelled ones dropped).
+            // shard queues, cancelled ones dropped).
             ts.inbox_len = 0;
             ts.buffered_cancels = 0;
             ts.popped_at_barrier = self.popped;
@@ -1391,7 +1694,7 @@ impl<E: Send> ShardedEventQueue<E> {
     /// Switches the queue to the **thread-per-shard drain**: at every
     /// window barrier, up to `threads` scoped workers (clamped to the
     /// shard count) integrate the buffered future-window events into
-    /// their shards' heaps, agree on the next window via an in-scope
+    /// their shards' queues, agree on the next window via an in-scope
     /// rendezvous, and extract the window's events into per-shard sorted
     /// runs — in parallel. The coordinator then consumes the runs (plus
     /// an overlay of in-window spawns) serially in global `(time, seq)`
@@ -1433,10 +1736,10 @@ impl<E: Send> ShardedEventQueue<E> {
             drive: drive_barrier::<E>,
             last_scope_end: None,
         });
-        // Migrate events scheduled before the mode switch: in-window heap
+        // Migrate events scheduled before the mode switch: in-window queue
         // entries move to the overlay (the first window consumes them
         // without an extra barrier, exactly like the fused coordinator),
-        // later ones stay heap-resident for the first barrier to extract.
+        // later ones stay queue-resident for the first barrier to extract.
         for shard in 0..k {
             let mut run = VecDeque::new();
             self.shards[shard].extract_window(self.window_end, &mut run);
@@ -1455,7 +1758,7 @@ impl<E: Send> ShardedEventQueue<E> {
 /// integrates its shards' inboxes and publishes its earliest live head
 /// into a shared atomic minimum. In-scope rendezvous. Phase two: every
 /// worker derives the same next window `[start, start + width)` from the
-/// atomic and extracts it from its shards' heaps into sorted runs.
+/// atomic and extracts it from its shards' queues into sorted runs.
 ///
 /// Monomorphized under `E: Send` (scoped workers take `&mut` shard state
 /// across threads) and stored as a plain fn pointer in
@@ -1733,9 +2036,204 @@ mod tests {
             );
         }
         // Slot bookkeeping is recycled, not grown per cycle.
-        assert!(q.generations.len() <= COMPACT_MIN.max(4));
+        assert!(q.slots.len() <= COMPACT_MIN.max(4));
         assert_eq!(q.pop().map(|(_, e)| e), Some(0));
         assert!(q.is_empty());
+    }
+
+    /// The same regression for events due inside the ring: each cancel
+    /// unlinks its event at once, so nothing accumulates at all.
+    #[test]
+    fn memory_stays_bounded_across_a_million_ring_schedule_cancel_cycles() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ticks(1 << 40), 0u64);
+        for i in 0..1_000_000u64 {
+            let id = q.schedule(q.now() + Duration::from_ticks(5), i);
+            assert!(q.cancel(id));
+            assert_eq!(q.pending_upper_bound(), 1, "after {} cycles", i + 1);
+        }
+        assert_eq!(q.slots.len(), 2, "the anchor's slot and one recycled one");
+        assert_eq!(q.pop().map(|(_, e)| e), Some(0));
+        assert!(q.is_empty());
+    }
+
+    /// The sharded barrier merge hands a bucket an event whose sequence
+    /// number is older than entries already there: it must still pop in
+    /// sequence order, at the head and in the middle of the bucket.
+    #[test]
+    fn late_push_of_an_older_sequence_number_pops_in_sequence_order() {
+        let mut q = EventQueue::new();
+        let at = Time::from_ticks(10);
+        let reserve = |q: &mut EventQueue<char>| {
+            let seq = q.next_seq;
+            q.next_seq += 1;
+            (q.alloc_slot(), seq)
+        };
+        let (a, a_seq) = reserve(&mut q);
+        q.schedule(at, 'b');
+        let (c, c_seq) = reserve(&mut q);
+        q.schedule(at, 'd');
+        q.push_entry(at, c_seq, c, 'c');
+        q.push_entry(at, a_seq, a, 'a');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
+
+        // A late entry that is cancelled before its turn leaves its
+        // neighbours linked.
+        let (x, x_seq) = reserve(&mut q);
+        q.schedule(at, 'y');
+        q.push_entry(at, x_seq, x, 'x');
+        q.schedule(at, 'z');
+        assert!(q.cancel(x));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['y', 'z']);
+    }
+
+    /// Buckets are reused modulo the ring width: events behind the base's
+    /// bucket belong to the ring's last ticks, and one due exactly
+    /// `RING_TICKS` after the base waits in the far heap.
+    #[test]
+    fn ring_wraps_around_its_buckets() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ticks(250), 0u32);
+        assert_eq!(q.pop(), Some((Time::from_ticks(250), 0)));
+        q.schedule(Time::from_ticks(250 + RING_TICKS - 1), 1); // bucket 249
+        q.schedule(Time::from_ticks(260), 2); // bucket 4
+        q.schedule(Time::from_ticks(250 + RING_TICKS), 3); // far heap
+        q.schedule(Time::from_ticks(251), 4);
+        assert_eq!(q.far.len(), 1);
+        let order: Vec<(u64, u32)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect();
+        assert_eq!(order, vec![(251, 4), (260, 2), (505, 1), (506, 3)]);
+
+        // A far event that the base's advance brings to the ring's last
+        // tick must precede a later-scheduled event at the same tick.
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ticks(300), 'x');
+        q.schedule(Time::from_ticks(45), 'a');
+        assert_eq!(q.pop(), Some((Time::from_ticks(45), 'a')));
+        q.schedule(Time::from_ticks(300), 'y');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['x', 'y']);
+
+        // Many laps: a chain that keeps two events a ring width apart.
+        let mut q = EventQueue::new();
+        q.schedule(Time::ZERO, 0u64);
+        let mut seen = Vec::new();
+        while let Some((t, i)) = q.pop() {
+            seen.push(t.ticks());
+            if i < 40 {
+                q.schedule(t + Duration::from_ticks(RING_TICKS - 1), i + 1);
+                q.schedule(t + Duration::from_ticks(RING_TICKS + 1), 1000 + i);
+            }
+        }
+        let mut sorted = seen.clone();
+        sorted.sort_unstable();
+        assert_eq!(seen, sorted, "pops stay in time order across laps");
+        assert_eq!(seen.len(), 81);
+    }
+
+    /// With the ring empty, the next pop jumps the base straight to the far
+    /// heap's head; `pop_through` short of it leaves everything in place.
+    #[test]
+    fn time_jump_over_an_empty_ring() {
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ticks(5), 'a');
+        assert_eq!(q.pop(), Some((Time::from_ticks(5), 'a')));
+        let far = 1_000_000;
+        q.schedule(Time::from_ticks(far + 300), 'd');
+        q.schedule(Time::from_ticks(far), 'b');
+        q.schedule(Time::from_ticks(far + 10), 'c');
+        assert_eq!(q.pop_through(Time::from_ticks(far - 1)), None);
+        assert!(!q.is_empty());
+        assert_eq!(q.now(), Time::from_ticks(5));
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(far)));
+        assert_eq!(
+            q.pop_through(Time::from_ticks(far)),
+            Some((Time::from_ticks(far), 'b'))
+        );
+        // The jump pulled `c` into the ring; `d` is still a ring width off.
+        assert_eq!(q.far.len(), 1);
+        q.schedule(q.now() + Duration::TICK, 'e');
+        let order: Vec<(u64, char)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect();
+        assert_eq!(
+            order,
+            vec![(far + 1, 'e'), (far + 10, 'c'), (far + 300, 'd')]
+        );
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The calendar queue against a `BTreeMap` keyed by
+            /// `(time, seq)`: random schedules (delays straddling the ring
+            /// width, with occasional jumps far past it), cancels of live,
+            /// delivered and cancelled ids, pops, peeks and bounded pops
+            /// must agree step by step.
+            #[test]
+            fn calendar_queue_matches_a_sorted_map(
+                ops in proptest::collection::vec((0u64..100, 0u64..u64::MAX), 1..800),
+            ) {
+                let mut q = EventQueue::new();
+                let mut oracle: BTreeMap<(Time, u64), u64> = BTreeMap::new();
+                let mut ids: Vec<(EventId, (Time, u64))> = Vec::new();
+                let mut next_seq = 0u64;
+                for (kind, arg) in ops {
+                    match kind {
+                        0..=44 => {
+                            let delay = match kind {
+                                0..=29 => arg % (3 * RING_TICKS + 1),
+                                // Right around the ring's edge.
+                                30..=39 => RING_TICKS - 2 + arg % 4,
+                                _ => 50 * RING_TICKS + arg % (1 << 20),
+                            };
+                            let at = q.now() + Duration::from_ticks(delay);
+                            let id = q.schedule(at, next_seq);
+                            oracle.insert((at, next_seq), next_seq);
+                            ids.push((id, (at, next_seq)));
+                            next_seq += 1;
+                        }
+                        45..=64 => {
+                            if !ids.is_empty() {
+                                let (id, key) = ids[(arg % ids.len() as u64) as usize];
+                                let expect = oracle.remove(&key).is_some();
+                                prop_assert_eq!(q.cancel(id), expect);
+                            }
+                        }
+                        65..=79 => {
+                            let expect = oracle.pop_first().map(|((at, _), e)| (at, e));
+                            prop_assert_eq!(q.pop(), expect);
+                        }
+                        80..=89 => {
+                            let expect = oracle.keys().next().map(|&(at, _)| at);
+                            prop_assert_eq!(q.peek_time(), expect);
+                        }
+                        _ => {
+                            let horizon = q.now() + Duration::from_ticks(arg % (2 * RING_TICKS));
+                            let due = oracle.keys().next().is_some_and(|&(at, _)| at <= horizon);
+                            let expect = if due {
+                                oracle.pop_first().map(|((at, _), e)| (at, e))
+                            } else {
+                                None
+                            };
+                            prop_assert_eq!(q.pop_through(horizon), expect);
+                            prop_assert_eq!(q.is_empty(), oracle.is_empty());
+                        }
+                    }
+                    prop_assert!(q.pending_upper_bound() >= oracle.len());
+                }
+                let drained: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop()).collect();
+                let expect: Vec<(Time, u64)> =
+                    oracle.into_iter().map(|((at, _), e)| (at, e)).collect();
+                prop_assert_eq!(drained, expect);
+            }
+        }
     }
 
     #[test]
@@ -1863,9 +2361,9 @@ mod tests {
         }
         for s in &q.shards {
             assert!(
-                s.generations.len() <= COMPACT_MIN.max(8),
+                s.slots.len() <= COMPACT_MIN.max(8),
                 "slot table grew to {} entries",
-                s.generations.len()
+                s.slots.len()
             );
         }
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -2189,9 +2687,9 @@ mod tests {
         }
         for s in &q.shards {
             assert!(
-                s.generations.len() <= COMPACT_MIN.max(8),
+                s.slots.len() <= COMPACT_MIN.max(8),
                 "slot table grew to {} entries",
-                s.generations.len()
+                s.slots.len()
             );
         }
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
