@@ -20,10 +20,11 @@
 //!   through the slot table, and a 256-bit occupancy bitmap finds the next
 //!   non-empty tick in at most five word tests, so scheduling into the
 //!   ring and popping from it are O(1);
-//! * a **far heap** (`BinaryHeap` of `(time, seq, slot)` keys) for events
-//!   due at or beyond `base + RING_TICKS` (fault plans, `inject_at`, long
-//!   timers). Whenever `base` advances, the far events that now fall
-//!   inside the ring move into their buckets in `(time, seq)` order.
+//! * a **far heap** (`BinaryHeap` of `(time, seq, slot, generation)`
+//!   keys) for events due at or beyond `base + RING_TICKS` (fault plans,
+//!   `inject_at`, long timers). Whenever `base` advances, the far events
+//!   that now fall inside the ring move into their buckets in
+//!   `(time, seq)` order.
 //!
 //! Inside a bucket, FIFO order is `(time, seq)` order because sequence
 //! numbers only grow. The one exception is the sharded queue's barrier
@@ -38,12 +39,13 @@
 //! recycles the slot for the next `schedule` — no hash-set tombstones, no
 //! per-event hashing on the hot path. A ring event is cancelled
 //! **eagerly**: it is unlinked from its bucket in O(1) and its payload
-//! dropped. A far-heap event, or one the threaded sharded drain has
-//! already extracted, is cancelled **lazily**: its key is skipped (and
-//! reclaimed) when it surfaces, and the far heap is compacted in place
-//! whenever cancelled keys outnumber live ones. Queue memory therefore
-//! stays proportional to the number of *live* events even across millions
-//! of schedule/cancel cycles.
+//! dropped. A far-heap event drops its payload too, but its key is
+//! cancelled **lazily**, as is an event the threaded sharded drain has
+//! already extracted: the stale key or entry is skipped (and reclaimed)
+//! when it surfaces, and the far heap is compacted in place whenever
+//! cancelled keys outnumber live ones. Queue memory therefore stays
+//! proportional to the number of *live* events even across millions of
+//! schedule/cancel cycles.
 
 use crate::time::{Duration, Time};
 use std::cmp::Ordering;
