@@ -257,7 +257,8 @@ impl<E> EventQueue<E> {
     fn alloc_slot(&mut self) -> EventId {
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize].prev = DETACHED;
+                // Retired slots were unlinked first, or never linked.
+                debug_assert_eq!(self.slots[slot as usize].prev, DETACHED);
                 slot
             }
             None => {
