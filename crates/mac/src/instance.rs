@@ -22,7 +22,8 @@ impl InstanceId {
         self.0
     }
 
-    /// The index into the runtime's instance table.
+    /// The sequence number as a dense index, for observers that keep
+    /// per-instance state in a vector.
     pub const fn index(self) -> usize {
         self.0 as usize
     }

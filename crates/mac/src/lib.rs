@@ -97,7 +97,6 @@ pub mod online;
 pub mod policies;
 mod policy;
 mod runtime;
-mod small_set;
 pub mod trace;
 mod validator;
 

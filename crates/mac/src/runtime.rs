@@ -20,9 +20,10 @@
 //!   receive from a *contending* instance (one not terminated before `s`)
 //!   has occurred by its end. A past receive therefore *covers* every
 //!   window that starts before its instance terminates. The runtime tracks,
-//!   per receiver `j`: the in-flight instances that already delivered to
-//!   `j` (*live protectors* — while any exists, no window can violate), and
-//!   the latest termination time `pf` among past protectors. When
+//!   per receiver `j`: how many in-flight instances already delivered to
+//!   `j` (its *live protectors* — while the count is non-zero, no window
+//!   can violate), and the latest termination time `pf` among past
+//!   protectors. When
 //!   unprotected, the earliest violating window starts at
 //!   `s = max(oldest connected start, pf)` and closes at `s + F_prog + 1`;
 //!   the runtime schedules a forced delivery for that instant, chosen by
@@ -39,6 +40,13 @@
 //! [`Trace`], an [`OnlineValidator`](crate::OnlineValidator) for streaming
 //! conformance checking, or any custom observer. With no observers
 //! attached, the hot path records nothing.
+//!
+//! ## Memory
+//!
+//! A node has at most one broadcast in flight (user well-formedness), so
+//! the runtime keeps one broadcast slot per sender, not a record per
+//! instance: its instance state is O(n + |E′|) however many instances a
+//! run starts.
 
 use crate::config::MacConfig;
 use crate::fault::{FaultKind, FaultPlan};
@@ -47,7 +55,6 @@ use crate::message::{MacMessage, MessageKey};
 use crate::node::{Automaton, Command, Ctx};
 use crate::observer::{Observer, ObserverHandle, ObserverSet, TraceObserver};
 use crate::policy::{BcastInfo, ForcedCandidate, Policy, PolicyCtx};
-use crate::small_set::SortedSet;
 use crate::trace::{Trace, TraceEntry, TraceKind};
 use amac_graph::{DualGraph, NodeId, Partition};
 use amac_sim::stats::Counters;
@@ -85,8 +92,10 @@ pub struct OutputRecord<O> {
 enum Ev<E> {
     Start(NodeId),
     Env(NodeId, E),
-    Deliver(InstanceId, NodeId),
-    AckDue(InstanceId),
+    /// `(instance, sender, receiver)`.
+    Deliver(InstanceId, NodeId, NodeId),
+    /// `(instance, sender)`.
+    AckDue(InstanceId, NodeId),
     ProgressCheck(NodeId),
     Timer(NodeId, u64, u64),
     Fault(NodeId, FaultKind),
@@ -96,7 +105,7 @@ enum Ev<E> {
 /// or a [`ShardedEventQueue`] routing each event to its node's shard (see
 /// [`Runtime::with_shards`]). Methods mirror the queue API with the routing
 /// node made explicit. Kept as a plain field (not behind an accessor) so
-/// cancel sites can split borrows against `instances`.
+/// cancel sites can split borrows against `slots`.
 enum Queue<E> {
     Single(EventQueue<E>),
     Sharded {
@@ -156,29 +165,34 @@ impl<E> Queue<E> {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Terminated {
-    Acked,
-    Aborted,
-    /// The sender crashed mid-instance: deliveries already made stand, the
-    /// rest (and the ack) are silenced. No event marks this — the crash
-    /// itself is emitted to the observers' fault channel.
-    Crashed,
-}
-
-/// Per-instance state. The payload is interned behind an [`Arc`] at
-/// broadcast time — deliveries clone the pointer, not the payload — and
-/// dropped at termination along with the delivery bookkeeping, so retired
-/// instances cost a few words each.
-struct InstanceState<M> {
-    sender: NodeId,
+/// One sender's broadcast slot: the state of its in-flight instance, if
+/// any. The payload is interned behind an [`Arc`] at broadcast time —
+/// deliveries clone the pointer, not the payload — and dropped at
+/// termination; the two vectors are cleared but keep their capacity, so a
+/// slot stops allocating once it has held its largest broadcast.
+struct Slot<M> {
+    /// The in-flight instance, `None` between broadcasts.
+    id: Option<InstanceId>,
     msg: Option<Arc<M>>,
     key: MessageKey,
     start: Time,
     delivered: Vec<NodeId>,
     pending: Vec<(NodeId, EventId)>,
     ack_event: Option<EventId>,
-    terminated: Option<(Time, Terminated)>,
+}
+
+impl<M> Slot<M> {
+    fn idle() -> Slot<M> {
+        Slot {
+            id: None,
+            msg: None,
+            key: MessageKey(0),
+            start: Time::ZERO,
+            delivered: Vec::new(),
+            pending: Vec::new(),
+            ack_event: None,
+        }
+    }
 }
 
 /// Hot-path event counters kept as plain fields — the string-keyed
@@ -239,22 +253,27 @@ pub struct Runtime<A: Automaton, P: Policy> {
     nodes: Vec<A>,
     policy: P,
     queue: Queue<Ev<A::Env>>,
-    instances: Vec<InstanceState<A::Msg>>,
-    in_flight_of: Vec<Option<InstanceId>>,
-    /// Per receiver: in-flight instances that already delivered to it.
-    live_protectors: Vec<SortedSet<InstanceId>>,
+    /// Per sender: its broadcast slot.
+    slots: Vec<Slot<A::Msg>>,
+    /// Instances started so far, i.e. the next broadcast's id.
+    started: u64,
+    /// Per receiver: how many in-flight instances already delivered to it.
+    live_protectors: Vec<u32>,
     /// Per receiver: latest termination time among past protectors.
     protected_until: Vec<Option<Time>>,
-    connected: Vec<SortedSet<InstanceId>>,
-    contending: Vec<SortedSet<InstanceId>>,
+    /// Per receiver: the senders of the in-flight instances of its `G`-
+    /// (`connected`) and `G′`-neighbors (`contending`), in ascending
+    /// instance id.
+    connected: Vec<Vec<NodeId>>,
+    contending: Vec<Vec<NodeId>>,
     check_scheduled: Vec<bool>,
     // Determinism policy: every collection whose *iteration order* can
     // reach execution (in particular `connected`/`contending`, which
     // build the forced-delivery candidate list handed to
-    // `Policy::pick_forced`) must be ordered — a sorted-vec `SortedSet`
-    // or indexed `Vec` — so executions are bit-reproducible from the seed
-    // alone, across processes and thread counts. `seen_keys` and `timers`
-    // are membership/keyed access only (never iterated), so hashed
+    // `Policy::pick_forced`) must be ordered — here by instance id — or
+    // indexed, so executions are bit-reproducible from the seed alone,
+    // across processes and thread counts. `seen_keys` and `timers` are
+    // membership/keyed access only (never iterated), so hashed
     // collections are safe and keep those hot-path lookups O(1).
     seen_keys: Vec<FastHashSet<MessageKey>>,
     crashed: Vec<bool>,
@@ -270,8 +289,6 @@ pub struct Runtime<A: Automaton, P: Policy> {
     cmd_pool: Vec<Vec<Command<A::Msg, A::Out>>>,
     forced_scratch: Vec<ForcedCandidate>,
     delay_scratch: Vec<(NodeId, Duration)>,
-    pending_pool: Vec<Vec<(NodeId, EventId)>>,
-    receiver_pool: Vec<Vec<NodeId>>,
 }
 
 impl<A: Automaton, P: Policy> Runtime<A, P> {
@@ -303,12 +320,12 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             nodes,
             policy,
             queue: Queue::Single(queue),
-            instances: Vec::new(),
-            in_flight_of: vec![None; n],
-            live_protectors: vec![SortedSet::new(); n],
+            slots: (0..n).map(|_| Slot::idle()).collect(),
+            started: 0,
+            live_protectors: vec![0; n],
             protected_until: vec![None; n],
-            connected: vec![SortedSet::new(); n],
-            contending: vec![SortedSet::new(); n],
+            connected: vec![Vec::new(); n],
+            contending: vec![Vec::new(); n],
             check_scheduled: vec![false; n],
             seen_keys: vec![FastHashSet::default(); n],
             crashed: vec![false; n],
@@ -321,8 +338,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             cmd_pool: Vec::new(),
             forced_scratch: Vec::new(),
             delay_scratch: Vec::new(),
-            pending_pool: Vec::new(),
-            receiver_pool: Vec::new(),
         }
     }
 
@@ -532,7 +547,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
 
     /// Number of message instances started so far.
     pub fn instances_started(&self) -> usize {
-        self.instances.len()
+        self.started as usize
     }
 
     /// Event counters (`bcast`, `rcv`, `ack`, `abort`, `forced_rcv`,
@@ -612,16 +627,20 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 let cmds = self.callback(node, |n, ctx| n.on_env(input, ctx));
                 self.apply(node, cmds);
             }
-            Ev::Deliver(inst, to) => {
-                // Drop the pending entry for this receiver; the event
-                // already fired so there is nothing to cancel.
-                let st = &mut self.instances[inst.index()];
-                st.pending.retain(|(n, _)| *n != to);
-                self.deliver_core(inst, to, false);
+            Ev::Deliver(inst, from, to) => {
+                // Skip an event that outlived its instance (the slot may
+                // hold a newer one). Otherwise drop the pending entry for
+                // this receiver; the event already fired, so there is
+                // nothing to cancel.
+                let slot = &mut self.slots[from.index()];
+                if slot.id == Some(inst) {
+                    slot.pending.retain(|(n, _)| *n != to);
+                    self.deliver_core(from, to);
+                }
             }
-            Ev::AckDue(inst) => {
-                if self.instances[inst.index()].terminated.is_none() {
-                    self.ack_instance(inst, false);
+            Ev::AckDue(inst, from) => {
+                if self.slots[from.index()].id == Some(inst) {
+                    self.ack_instance(from);
                 }
             }
             Ev::ProgressCheck(node) => self.progress_check(node),
@@ -697,7 +716,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             now,
             config: &self.config,
             dual: &self.dual,
-            in_flight: self.in_flight_of[node.index()].is_some(),
+            in_flight: self.slots[node.index()].id.is_some(),
             commands,
             next_timer: &mut self.next_timer,
         };
@@ -750,11 +769,12 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             "crashed node {sender} cannot broadcast (callbacks are suppressed)"
         );
         assert!(
-            self.in_flight_of[sender.index()].is_none(),
+            self.slots[sender.index()].id.is_none(),
             "node {sender} issued a second bcast without ack/abort (user well-formedness)"
         );
         let now = self.queue.now();
-        let id = InstanceId::new(self.instances.len() as u64);
+        let id = InstanceId::new(self.started);
+        self.started += 1;
         let key = msg.key();
         self.seen_keys[sender.index()].insert(key);
         self.counters.bcast += 1;
@@ -804,35 +824,32 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
 
         self.emit(id, sender, TraceKind::Bcast, key);
 
-        let mut pending = self.pending_pool.pop().unwrap_or_default();
-        debug_assert!(pending.is_empty());
+        let slot = &mut self.slots[sender.index()];
+        debug_assert!(slot.pending.is_empty() && slot.delivered.is_empty());
         for (j, d) in delays.drain(..) {
             if self.crashed[j.index()] {
                 continue; // a crashed receiver gets nothing
             }
-            let ev = self.queue.schedule(now + d, j, Ev::Deliver(id, j));
-            pending.push((j, ev));
+            let ev = self.queue.schedule(now + d, j, Ev::Deliver(id, sender, j));
+            slot.pending.push((j, ev));
         }
         self.delay_scratch = delays;
-        let ack_event = self.queue.schedule(now + ack_delay, sender, Ev::AckDue(id));
+        let ack_event = self
+            .queue
+            .schedule(now + ack_delay, sender, Ev::AckDue(id, sender));
+        slot.id = Some(id);
+        slot.msg = Some(Arc::new(msg));
+        slot.key = key;
+        slot.start = now;
+        slot.ack_event = Some(ack_event);
 
-        self.instances.push(InstanceState {
-            sender,
-            msg: Some(Arc::new(msg)),
-            key,
-            start: now,
-            delivered: self.receiver_pool.pop().unwrap_or_default(),
-            pending,
-            ack_event: Some(ack_event),
-            terminated: None,
-        });
-        self.in_flight_of[sender.index()] = Some(id);
-
+        // The new instance has the largest id in flight, so appending keeps
+        // the sender lists in ascending instance id.
         for &j in self.dual.reliable_neighbors(sender) {
-            self.connected[j.index()].insert(id);
+            self.connected[j.index()].push(sender);
         }
         for &j in self.dual.all_neighbors(sender) {
-            self.contending[j.index()].insert(id);
+            self.contending[j.index()].push(sender);
         }
         for i in 0..self.dual.reliable_neighbors(sender).len() {
             let j = self.dual.reliable_neighbors(sender)[i];
@@ -849,12 +866,12 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             return None;
         }
         let oldest = *self.connected[j.index()].first()?;
-        if !self.live_protectors[j.index()].is_empty() {
+        if self.live_protectors[j.index()] > 0 {
             // Some in-flight instance already delivered to j: every window
             // starting before its termination is covered.
             return None;
         }
-        let b_min = self.instances[oldest.index()].start;
+        let b_min = self.slots[oldest.index()].start;
         let s = match self.protected_until[j.index()] {
             Some(pf) => b_min.max(pf),
             None => b_min,
@@ -889,18 +906,18 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         // `candidates` is a recycled scratch buffer.
         let mut candidates = std::mem::take(&mut self.forced_scratch);
         debug_assert!(candidates.is_empty());
-        candidates.extend(self.contending[j.index()].iter().filter_map(|&id| {
-            let st = &self.instances[id.index()];
-            if st.terminated.is_some() || st.delivered.contains(&j) {
+        candidates.extend(self.contending[j.index()].iter().filter_map(|&sender| {
+            let slot = &self.slots[sender.index()];
+            if slot.delivered.contains(&j) {
                 return None;
             }
             Some(ForcedCandidate {
-                instance: id,
-                sender: st.sender,
-                key: st.key,
-                start: st.start,
-                duplicate_for_receiver: self.seen_keys[j.index()].contains(&st.key),
-                reliable_link: self.connected[j.index()].contains(&id),
+                instance: slot.id.expect("contending senders are in flight"),
+                sender,
+                key: slot.key,
+                start: slot.start,
+                duplicate_for_receiver: self.seen_keys[j.index()].contains(&slot.key),
+                reliable_link: self.dual.g().has_edge(j, sender),
             })
         }));
         if candidates.is_empty() {
@@ -910,7 +927,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             self.forced_scratch = candidates;
             if let Some(&oldest) = self.connected[j.index()].first() {
                 self.counters.forced_ack += 1;
-                self.ack_instance(oldest, true);
+                self.ack_instance(oldest);
             }
             self.ensure_check(j);
             return;
@@ -928,120 +945,107 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 0
             }
         };
-        let chosen = candidates[idx].instance;
+        let chosen = candidates[idx].sender;
         candidates.clear();
         self.forced_scratch = candidates;
         self.counters.forced_rcv += 1;
         // Cancel the planned delivery (if any) and deliver now.
-        let st = &mut self.instances[chosen.index()];
-        if let Some(pos) = st.pending.iter().position(|(n, _)| *n == j) {
-            let (_, ev) = st.pending.remove(pos);
+        let slot = &mut self.slots[chosen.index()];
+        if let Some(pos) = slot.pending.iter().position(|(n, _)| *n == j) {
+            let (_, ev) = slot.pending.remove(pos);
             self.queue.cancel(ev);
         }
-        self.deliver_core(chosen, j, true);
+        self.deliver_core(chosen, j);
         self.ensure_check(j);
     }
 
-    fn deliver_core(&mut self, inst: InstanceId, to: NodeId, forced: bool) {
+    fn deliver_core(&mut self, from: NodeId, to: NodeId) {
         if self.crashed[to.index()] {
             return; // defensive: deliveries to crashed nodes are cancelled
         }
-        let st = &mut self.instances[inst.index()];
-        if st.terminated.is_some() || st.delivered.contains(&to) {
-            return;
-        }
-        st.delivered.push(to);
-        let key = st.key;
+        let slot = &mut self.slots[from.index()];
+        let inst = match slot.id {
+            Some(inst) if !slot.delivered.contains(&to) => inst,
+            _ => return,
+        };
+        slot.delivered.push(to);
+        let key = slot.key;
         // Payloads are interned: a delivery clones the Arc, not the
         // payload; the automaton borrows it for the callback.
-        let msg = Arc::clone(st.msg.as_ref().expect("live instance holds its payload"));
-        let _ = forced;
+        let msg = Arc::clone(slot.msg.as_ref().expect("live instance holds its payload"));
         self.counters.rcv += 1;
         self.emit(inst, to, TraceKind::Rcv, key);
         self.seen_keys[to.index()].insert(key);
         // The delivering instance is in flight, so it now protects `to`
         // from progress violations until it terminates.
-        self.live_protectors[to.index()].insert(inst);
+        self.live_protectors[to.index()] += 1;
         let cmds = self.callback(to, |n, ctx| n.on_receive(&msg, ctx));
         self.apply(to, cmds);
     }
 
-    fn ack_instance(&mut self, inst: InstanceId, forced: bool) {
-        debug_assert!(self.instances[inst.index()].terminated.is_none());
-        let _ = forced;
+    fn ack_instance(&mut self, sender: NodeId) {
         // Flush pending deliveries: every rcv precedes the ack.
-        let mut pend = std::mem::take(&mut self.instances[inst.index()].pending);
+        let mut pend = std::mem::take(&mut self.slots[sender.index()].pending);
         for (to, ev) in pend.drain(..) {
             self.queue.cancel(ev);
-            self.deliver_core(inst, to, false);
+            self.deliver_core(sender, to);
         }
-        self.pending_pool.push(pend);
-        let now = self.queue.now();
-        let (sender, key, msg) = {
-            let st = &mut self.instances[inst.index()];
-            if let Some(ev) = st.ack_event.take() {
-                self.queue.cancel(ev);
-            }
-            st.terminated = Some((now, Terminated::Acked));
-            let msg = st.msg.take().expect("live instance holds its payload");
-            (st.sender, st.key, msg)
-        };
+        self.slots[sender.index()].pending = pend;
+        let (inst, key, msg) = self.terminate(sender);
         self.counters.ack += 1;
         self.emit(inst, sender, TraceKind::Ack, key);
-        self.cleanup_instance(inst, sender);
         let cmds = self.callback(sender, |n, ctx| n.on_ack(&msg, ctx));
         self.apply(sender, cmds);
     }
 
     fn abort_in_flight(&mut self, node: NodeId) {
-        let inst = self.in_flight_of[node.index()]
-            .unwrap_or_else(|| panic!("node {node} aborted with no broadcast in flight"));
-        let now = self.queue.now();
-        let (sender, key) = {
-            let st = &mut self.instances[inst.index()];
-            debug_assert!(st.terminated.is_none());
-            let mut pend = std::mem::take(&mut st.pending);
-            for (_, ev) in pend.drain(..) {
-                self.queue.cancel(ev);
-            }
-            if let Some(ev) = st.ack_event.take() {
-                self.queue.cancel(ev);
-            }
-            st.terminated = Some((now, Terminated::Aborted));
-            st.msg = None;
-            let out = (st.sender, st.key);
-            self.pending_pool.push(pend);
-            out
-        };
+        assert!(
+            self.slots[node.index()].id.is_some(),
+            "node {node} aborted with no broadcast in flight"
+        );
+        let (inst, key, _) = self.terminate(node);
         self.counters.abort += 1;
-        self.emit(inst, sender, TraceKind::Abort, key);
-        self.cleanup_instance(inst, sender);
+        self.emit(inst, node, TraceKind::Abort, key);
     }
 
-    fn cleanup_instance(&mut self, inst: InstanceId, sender: NodeId) {
-        self.in_flight_of[sender.index()] = None;
+    /// Ends `sender`'s in-flight instance (ack, abort or crash): cancels
+    /// its remaining deliveries and its ack, empties its slot and drops it
+    /// from its neighbors' sender lists. Deliveries already made stand.
+    /// Returns the instance, its key and its payload.
+    fn terminate(&mut self, sender: NodeId) -> (InstanceId, MessageKey, Arc<A::Msg>) {
+        fn unlist(senders: &mut Vec<NodeId>, sender: NodeId) {
+            let pos = senders.iter().position(|&s| s == sender);
+            senders.remove(pos.expect("in-flight sender is listed"));
+        }
+        let slot = &mut self.slots[sender.index()];
+        let inst = slot.id.take().expect("terminated instance is in flight");
+        for (_, ev) in slot.pending.drain(..) {
+            self.queue.cancel(ev);
+        }
+        if let Some(ev) = slot.ack_event.take() {
+            self.queue.cancel(ev);
+        }
+        let msg = slot.msg.take().expect("live instance holds its payload");
+        let (key, mut receivers) = (slot.key, std::mem::take(&mut slot.delivered));
         for &j in self.dual.reliable_neighbors(sender) {
-            self.connected[j.index()].remove(&inst);
+            unlist(&mut self.connected[j.index()], sender);
         }
         for &j in self.dual.all_neighbors(sender) {
-            self.contending[j.index()].remove(&inst);
+            unlist(&mut self.contending[j.index()], sender);
         }
         // Receivers protected by this instance lose that protection at its
         // termination time; their next possible violation window starts
-        // here, so (re)arm their progress checks. The delivered list is
-        // retired into the buffer pool: terminated instances keep no
-        // per-delivery state.
+        // here, so (re)arm their progress checks.
         let now = self.queue.now();
-        let mut receivers = std::mem::take(&mut self.instances[inst.index()].delivered);
         for &j in &receivers {
-            if self.live_protectors[j.index()].remove(&inst) {
-                let pf = &mut self.protected_until[j.index()];
-                *pf = Some(pf.map_or(now, |t| t.max(now)));
-                self.ensure_check(j);
-            }
+            self.live_protectors[j.index()] -= 1;
+            let pf = &mut self.protected_until[j.index()];
+            *pf = Some(pf.map_or(now, |t| t.max(now)));
+            self.ensure_check(j);
         }
         receivers.clear();
-        self.receiver_pool.push(receivers);
+        self.slots[sender.index()].delivered = receivers;
+        (inst, key, msg)
     }
 
     /// Applies a crash: silences the node's in-flight broadcast (pending
@@ -1056,32 +1060,17 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         self.counters.crash += 1;
         let now = self.queue.now();
         self.observers.emit_fault(now, v, FaultKind::Crash);
-        // Silence the node's own broadcast in flight.
-        if let Some(inst) = self.in_flight_of[v.index()] {
-            {
-                let st = &mut self.instances[inst.index()];
-                debug_assert!(st.terminated.is_none());
-                let mut pend = std::mem::take(&mut st.pending);
-                for (_, ev) in pend.drain(..) {
-                    self.queue.cancel(ev);
-                }
-                if let Some(ev) = st.ack_event.take() {
-                    self.queue.cancel(ev);
-                }
-                st.terminated = Some((now, Terminated::Crashed));
-                st.msg = None;
-                self.pending_pool.push(pend);
-            }
-            self.cleanup_instance(inst, v);
+        // Silence the node's own broadcast in flight. No event marks this:
+        // the crash itself is emitted to the observers' fault channel.
+        if self.slots[v.index()].id.is_some() {
+            self.terminate(v);
         }
-        // Cancel deliveries still headed to the crashed node. Only
-        // instances in flight hold pending deliveries, and each sender has
-        // at most one, so walking the senders costs O(n) per crash however
-        // many instances the run has created.
-        for inst in self.in_flight_of.iter().flatten() {
-            let st = &mut self.instances[inst.index()];
-            if let Some(pos) = st.pending.iter().position(|(n, _)| *n == v) {
-                let (_, ev) = st.pending.remove(pos);
+        // Cancel deliveries still headed to the crashed node. Only slots
+        // in flight hold pending deliveries, so this costs O(n) per crash
+        // however many instances the run has created.
+        for slot in &mut self.slots {
+            if let Some(pos) = slot.pending.iter().position(|(n, _)| *n == v) {
+                let (_, ev) = slot.pending.remove(pos);
                 self.queue.cancel(ev);
             }
         }
@@ -1101,9 +1090,9 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         self.observers.emit_fault(now, v, FaultKind::Recover);
         // A window uncovered while crashed does not count against the
         // model: the next possible violation starts at the recovery.
-        if !self.live_protectors[v.index()].is_empty() {
+        if self.live_protectors[v.index()] > 0 {
             // Still protected by an in-flight instance received pre-crash.
-        } else if self.connected[v.index()].first().is_some() {
+        } else if !self.connected[v.index()].is_empty() {
             let pf = &mut self.protected_until[v.index()];
             *pf = Some(pf.map_or(now, |t| t.max(now)));
         }
@@ -1118,7 +1107,7 @@ impl<A: Automaton, P: Policy> fmt::Debug for Runtime<A, P> {
         f.debug_struct("Runtime")
             .field("nodes", &self.nodes.len())
             .field("now", &self.queue.now())
-            .field("instances", &self.instances.len())
+            .field("instances", &self.started)
             .field("config", &self.config)
             .finish()
     }
@@ -1128,7 +1117,10 @@ impl<A: Automaton, P: Policy> fmt::Debug for Runtime<A, P> {
 mod tests {
     use super::*;
     use crate::observer::CounterObserver;
-    use crate::policies::EagerPolicy;
+    use crate::policies::{EagerPolicy, LazyPolicy, RandomPolicy};
+    use amac_graph::generators;
+    use amac_sim::SimRng;
+    use proptest::prelude::*;
 
     #[derive(Clone, Debug)]
     struct Token(u64);
@@ -1686,5 +1678,179 @@ mod tests {
             "token should travel at F_prog speed, took {last:?}"
         );
         assert!(rt.counters().get("forced_rcv") > 0);
+    }
+
+    /// Checks the per-receiver bookkeeping against the slots: for every
+    /// receiver `j`, `connected[j]`/`contending[j]` are the senders of the
+    /// in-flight instances among `j`'s `G`-/`G′`-neighbors in ascending
+    /// instance id, and `live_protectors[j]` counts the in-flight
+    /// instances that delivered to `j`. Idle slots hold no instance state.
+    fn assert_consistent<A: Automaton, P: Policy>(rt: &Runtime<A, P>) {
+        let in_flight = |neighbors: &[NodeId]| {
+            let mut senders = neighbors.to_vec();
+            senders.retain(|s| rt.slots[s.index()].id.is_some());
+            senders.sort_by_key(|s| rt.slots[s.index()].id);
+            senders
+        };
+        for (i, slot) in rt.slots.iter().enumerate() {
+            let live = slot.id.is_some();
+            assert_eq!(
+                live,
+                slot.msg.is_some() && slot.ack_event.is_some(),
+                "slot {i}"
+            );
+            assert!(
+                live || slot.pending.is_empty() && slot.delivered.is_empty(),
+                "slot {i}"
+            );
+        }
+        for i in 0..rt.dual.len() {
+            let j = NodeId::new(i);
+            let connected = in_flight(rt.dual.reliable_neighbors(j));
+            assert_eq!(rt.connected[i], connected, "connected[{j}]");
+            let contending = in_flight(rt.dual.all_neighbors(j));
+            assert_eq!(rt.contending[i], contending, "contending[{j}]");
+            let slots = rt.slots.iter();
+            let protectors = slots.filter(|s| s.id.is_some() && s.delivered.contains(&j));
+            assert_eq!(
+                rt.live_protectors[i] as usize,
+                protectors.count(),
+                "protectors of {j}"
+            );
+        }
+    }
+
+    /// Broadcasts `budget` times in a row: on start, on every ack, and on
+    /// recovery. A node that hears an odd key while its own broadcast is in
+    /// flight aborts it for the next one, so runs mix acks and aborts.
+    struct Talker {
+        budget: u64,
+    }
+
+    impl Talker {
+        fn next(&mut self, ctx: &mut Ctx<'_, Token, u64>) {
+            if self.budget > 0 && !ctx.has_broadcast_in_flight() {
+                self.budget -= 1;
+                ctx.bcast(Token(self.budget % 4));
+            }
+        }
+    }
+
+    impl Automaton for Talker {
+        type Msg = Token;
+        type Env = ();
+        type Out = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Token, u64>) {
+            self.next(ctx);
+        }
+        fn on_receive(&mut self, msg: &Token, ctx: &mut Ctx<'_, Token, u64>) {
+            if msg.0 % 2 == 1 && ctx.has_broadcast_in_flight() {
+                ctx.abort();
+                self.next(ctx);
+            }
+        }
+        fn on_ack(&mut self, _msg: &Token, ctx: &mut Ctx<'_, Token, u64>) {
+            self.next(ctx);
+        }
+        fn on_recover(&mut self, ctx: &mut Ctx<'_, Token, u64>) {
+            self.next(ctx);
+        }
+    }
+
+    /// `n` talkers with a broadcast budget each, over a line, ring, star
+    /// or grid `G` plus up to `extra` unreliable edges, under the eager,
+    /// lazy or random policy.
+    fn talk(
+        (topo, policy): (u8, u8),
+        n: usize,
+        extra: usize,
+        budget: u64,
+        rng: &mut SimRng,
+    ) -> Runtime<Talker, Box<dyn Policy>> {
+        let g = match topo % 4 {
+            0 => generators::line(n),
+            1 => generators::ring(n),
+            2 => generators::star(n),
+            _ => generators::grid(2, n.div_ceil(2)),
+        };
+        let dual = generators::arbitrary_augment(g.unwrap(), extra, rng).unwrap();
+        let nodes = (0..dual.len()).map(|_| Talker { budget }).collect();
+        let policy: Box<dyn Policy> = match policy % 3 {
+            0 => Box::new(EagerPolicy::new().with_unreliable(0.5, rng.next())),
+            1 => Box::new(LazyPolicy::new().prefer_duplicates()),
+            _ => Box::new(RandomPolicy::new(rng.next())),
+        };
+        let f_prog = 1 + rng.below(3);
+        let cfg = MacConfig::from_ticks(f_prog, f_prog * (1 + rng.below(6))).enhanced();
+        Runtime::new(dual, cfg, nodes, policy)
+    }
+
+    #[test]
+    fn long_run_keeps_instance_state_bounded_by_the_topology() {
+        let mut rt = talk((1, 2), 6, 3, 17_000, &mut SimRng::seed(14)).with_faults(
+            FaultPlan::new()
+                .crash_at(NodeId::new(2), Time::from_ticks(5_000))
+                .recover_at(NodeId::new(2), Time::from_ticks(5_100)),
+        );
+        assert_eq!(rt.run(), RunOutcome::Idle);
+        assert!(
+            rt.instances_started() >= 100_000,
+            "{}",
+            rt.instances_started()
+        );
+        assert!(rt.counters().get("abort") > 0 && rt.counters().get("crash") == 1);
+        assert_consistent(&rt);
+        assert!(rt.slots.iter().all(|s| s.id.is_none()));
+        assert!(rt.connected.iter().chain(&rt.contending).all(Vec::is_empty));
+        assert!(rt.live_protectors.iter().all(|&c| c == 0));
+        // Each vector holds at most deg′(v) entries, so with Vec's doubling
+        // (minimum capacity 4) each of the four families' total capacity is
+        // at most Σ 4·deg′(v) = 8·|E′|, however many instances ran.
+        let slots = rt.slots.iter();
+        let lists = rt.connected.iter().chain(&rt.contending);
+        let capacity: usize = slots
+            .map(|s| s.delivered.capacity() + s.pending.capacity())
+            .sum::<usize>()
+            + lists.map(Vec::capacity).sum::<usize>();
+        let edges = rt.dual.g_prime().edge_count();
+        assert!(
+            capacity <= 32 * edges,
+            "capacity {capacity} for |E′| = {edges}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-receiver bookkeeping matches the slots after every
+        /// event, under every policy, with crashes and recoveries.
+        #[test]
+        fn receiver_bookkeeping_matches_the_slots_after_every_step(
+            seed in 0u64..1_000_000,
+            topo in 0u8..4,
+            policy in 0u8..3,
+            n in 3usize..9,
+            extra in 0usize..6,
+            budget in 1u64..8,
+            crashes in 0usize..4,
+        ) {
+            let mut rng = SimRng::seed(seed);
+            let rt = talk((topo, policy), n, extra, budget, &mut rng);
+            let (n, window) = (rt.dual.len() as u64, 10 * rt.config.f_ack().ticks());
+            let mut plan = FaultPlan::new();
+            for _ in 0..crashes {
+                let (node, at) = (NodeId::new(rng.below(n) as usize), rng.below(window));
+                plan = plan.crash_at(node, Time::from_ticks(at));
+                if rng.chance(0.5) {
+                    plan = plan.recover_at(node, Time::from_ticks(at + 1 + rng.below(window)));
+                }
+            }
+            let mut rt = rt.with_faults(plan);
+            while rt.step() {
+                assert_consistent(&rt);
+            }
+            prop_assert!(rt.slots.iter().all(|s| s.id.is_none()));
+            prop_assert!(rt.live_protectors.iter().all(|&c| c == 0));
+        }
     }
 }

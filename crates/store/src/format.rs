@@ -170,8 +170,9 @@ impl TraceHeader {
     }
 
     /// Decodes a header from its fixed [`HEADER_LEN`] bytes, rejecting a
-    /// bad magic, an unsupported version, a bad variant byte, and bounds
-    /// no [`MacConfig`] would accept.
+    /// bad magic, an unsupported version, a bad variant byte, a node count
+    /// beyond the 32-bit node ids, and bounds no [`MacConfig`] would
+    /// accept.
     pub fn decode(bytes: &[u8; HEADER_LEN]) -> Result<TraceHeader, StoreError> {
         let le64 = |at: usize| {
             let mut b = [0u8; 8];
@@ -205,6 +206,13 @@ impl TraceHeader {
             topology_digest: le64(44),
             fault_plan_digest: le64(52),
         };
+        // Node ids are 32-bit, so a larger count cannot come from a run.
+        if header.nodes > u64::from(u32::MAX) + 1 {
+            return Err(StoreError::corrupt(
+                36,
+                format!("node count {} exceeds the 2^32 node ids", header.nodes),
+            ));
+        }
         if header.f_prog < 1 || header.f_ack < header.f_prog {
             return Err(StoreError::corrupt(
                 20,

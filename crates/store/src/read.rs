@@ -95,15 +95,22 @@ impl<R: Read> TraceReader<R> {
         // An absurd length is corruption, not an allocation request. The
         // cap is generous: 20 bytes per edge of a simple graph on n nodes.
         let n = header.nodes;
-        let max_topo = 16 + 20 * n.saturating_mul(n.saturating_sub(1)) / 2;
+        let max_topo = (n.saturating_mul(n.saturating_sub(1)) / 2)
+            .saturating_mul(20)
+            .saturating_add(16);
         if topo_len > max_topo {
             return Err(StoreError::corrupt(
                 offset,
                 format!("topology section length {topo_len} exceeds plausible {max_topo}"),
             ));
         }
-        let mut topology = vec![0u8; topo_len as usize];
-        read_exact_at(&mut input, &mut topology, offset)?;
+        // The cap grows with the header's node count, so the section is
+        // read as it arrives rather than allocated at its claimed length.
+        let mut topology = Vec::new();
+        input.by_ref().take(topo_len).read_to_end(&mut topology)?;
+        if (topology.len() as u64) < topo_len {
+            return Err(StoreError::corrupt(offset, "file truncated"));
+        }
         let topo_offset = offset;
         offset += topo_len;
         let found = crate::format::fnv1a64(&topology);

@@ -2,7 +2,7 @@
 //! execution and replaying the file through a fresh `OnlineValidator` must
 //! reproduce the live validator's verdict and stats exactly — over random
 //! topologies, random schedulers, and random crash plans — and any damaged
-//! file must be rejected, never misparsed.
+//! or arbitrary file must be rejected, never misparsed, without panicking.
 
 use amac::core::{run_bmmb, Assignment, RunOptions};
 use amac::graph::{generators, DualGraph, NodeId};
@@ -10,15 +10,44 @@ use amac::mac::policies::{LazyPolicy, RandomPolicy};
 use amac::mac::{FaultPlan, MacConfig};
 use amac::proto::consensus::{run_consensus, ConsensusParams};
 use amac::sim::{SimRng, Time};
+use amac::store::format::{push_varint, HEADER_LEN};
 use amac::store::{replay_validate, StoreError, TraceReader};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// A scratch file in the target-adjacent temp dir, unique per (test, case).
 fn scratch(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join("amac-store-roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{tag}-{case}.amactrace"))
+}
+
+/// Reads a whole trace: the header, then every record through the End
+/// record.
+fn parse(bytes: &[u8]) -> Result<(), StoreError> {
+    let mut r = TraceReader::new(bytes)?;
+    while r.next_record()?.is_some() {}
+    Ok(())
+}
+
+/// The bytes of a small recorded BMMB run, recorded once per test binary.
+fn sample_trace() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let path = scratch("damage", 0);
+        let dual = DualGraph::reliable(generators::line(5).unwrap());
+        run_bmmb(
+            &dual,
+            MacConfig::from_ticks(2, 16),
+            &Assignment::all_at(NodeId::new(0), 2),
+            LazyPolicy::new().prefer_duplicates(),
+            &RunOptions::default().recording(&path, 0),
+        );
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    })
 }
 
 /// Strategy: a connected dual graph with a seeded unreliable augmentation.
@@ -133,23 +162,7 @@ proptest! {
 /// and so does every single-byte corruption of its record stream.
 #[test]
 fn truncated_and_corrupted_files_are_rejected() {
-    let path = scratch("damage", 0);
-    let dual = DualGraph::reliable(generators::line(5).unwrap());
-    run_bmmb(
-        &dual,
-        MacConfig::from_ticks(2, 16),
-        &Assignment::all_at(NodeId::new(0), 2),
-        LazyPolicy::new().prefer_duplicates(),
-        &RunOptions::default().recording(&path, 0),
-    );
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let parse = |bytes: &[u8]| -> Result<(), StoreError> {
-        let mut r = TraceReader::new(bytes)?;
-        while r.next_record()?.is_some() {}
-        Ok(())
-    };
+    let bytes = sample_trace().to_vec();
     assert!(parse(&bytes).is_ok(), "the pristine file must parse");
     for len in 0..bytes.len() {
         assert!(
@@ -160,7 +173,7 @@ fn truncated_and_corrupted_files_are_rejected() {
     // Header bytes carry run metadata (seed, digests of *other* sections)
     // and are cross-checked rather than self-checksummed; the integrity
     // guarantee covers the topology section and the record stream.
-    for at in amac::store::format::HEADER_LEN..bytes.len() {
+    for at in HEADER_LEN..bytes.len() {
         let mut bad = bytes.clone();
         bad[at] ^= 0x01;
         assert!(
@@ -168,6 +181,52 @@ fn truncated_and_corrupted_files_are_rejected() {
             "flipping a bit at offset {at} must be rejected"
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Hostile input: arbitrary bytes, half of them behind a real trace's
+    /// header (cut anywhere from the header's end to the file's end, so the
+    /// garbage lands in the topology section and in the record stream
+    /// too), make every reader call return `Ok` or a `StoreError`, never
+    /// panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(
+        behind_header in 0u8..2,
+        cut in 0usize..1 << 16,
+        tail in proptest::collection::vec(0u8..=255, 0..160),
+    ) {
+        let real = sample_trace();
+        let mut bytes = Vec::new();
+        if behind_header == 1 {
+            bytes.extend_from_slice(&real[..HEADER_LEN + cut % (real.len() - HEADER_LEN + 1)]);
+        }
+        bytes.extend(tail);
+        let outcome = std::panic::catch_unwind(|| parse(&bytes));
+        prop_assert!(outcome.is_ok(), "the reader panicked on {:?}", bytes);
+    }
+}
+
+/// Regression inputs: real traces whose header claims a node count beyond
+/// the 32-bit node ids, or one large enough to overflow the cap on the
+/// topology section's length, are corrupt. Both once panicked the reader;
+/// the second also asks for a 2^40-byte section, which must not be
+/// allocated up front.
+#[test]
+fn hostile_node_counts_are_rejected() {
+    let real = sample_trace();
+    let with_nodes = |nodes: u64, rest: &[u8]| {
+        let mut bytes = real[..HEADER_LEN].to_vec();
+        bytes[36..44].copy_from_slice(&nodes.to_le_bytes());
+        [&bytes[..], rest].concat()
+    };
+    let err = parse(&with_nodes(u64::MAX, &real[HEADER_LEN..])).unwrap_err();
+    assert!(err.to_string().contains("node count"), "{err}");
+    let mut claim = Vec::new();
+    push_varint(&mut claim, 1 << 40);
+    let err = parse(&with_nodes(1 << 32, &claim)).unwrap_err();
+    assert!(err.to_string().contains("truncated"), "{err}");
 }
 
 /// The operator-facing contract behind `repro <exp> --record` followed by
