@@ -106,54 +106,6 @@ fn bench_runtime_hot_path(c: &mut Criterion) {
     });
 }
 
-/// The fused-vs-threaded sharded drain on the scale experiment's grid
-/// workload at a fixed small size: a k=2 BMMB flood over an n=4,096
-/// jittered-grid dual (`G′ = G`), run on 4 event-queue shards with the
-/// fused single-core coordinator and with the thread-per-shard drain
-/// (2 and 4 workers). The execution is byte-identical across all three
-/// (asserted via the event counter); only wall clock may differ. The
-/// ratio `flood_grid_sharded_fused / flood_grid_sharded_threads_t4` is
-/// the pin recorded in `BENCH_scale.json`'s headline note — regressions
-/// in the scoped-barrier path show up here first, at a size small enough
-/// for Criterion yet large enough for non-trivial per-shard windows.
-fn bench_sharded_threads(c: &mut Criterion) {
-    let n = 4096;
-    let mut rng = SimRng::seed(0x5CA1E ^ n as u64);
-    let net = generators::grid_grey_zone_network(n, 0.0, &mut rng).expect("n >= 1");
-    let cfg = MacConfig::from_ticks(2, 32);
-    let assignment = Assignment::all_at(NodeId::new(0), 2);
-    let baseline = run_bmmb(
-        &net.dual,
-        cfg,
-        &assignment,
-        EagerPolicy::new(),
-        &RunOptions::fast().with_shards(4),
-    )
-    .counters
-    .get("events");
-    let mut bench = |name: &str, threads: usize| {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let report = run_bmmb(
-                    black_box(&net.dual),
-                    cfg,
-                    &assignment,
-                    EagerPolicy::new(),
-                    &RunOptions::fast()
-                        .with_shards(4)
-                        .with_shard_threads(threads),
-                );
-                let events = report.counters.get("events");
-                assert_eq!(events, baseline, "thread count must never change events");
-                black_box(events)
-            });
-        });
-    };
-    bench("flood_grid_sharded_fused", 0);
-    bench("flood_grid_sharded_threads_t2", 2);
-    bench("flood_grid_sharded_threads_t4", 4);
-}
-
 fn bench_bmmb(c: &mut Criterion) {
     let dual = DualGraph::reliable(generators::line(64).unwrap());
     let cfg = MacConfig::from_ticks(2, 32);
@@ -204,7 +156,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_runtime_hot_path,
-    bench_sharded_threads,
     bench_bmmb,
     bench_topology
 );

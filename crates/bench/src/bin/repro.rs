@@ -23,21 +23,13 @@
 //! `--plots` appends an ASCII histogram/CDF of each sweep point's trial
 //! distribution to its table. `--json DIR` additionally writes one
 //! machine-readable `BENCH_<id>.json` per experiment (full dataset,
-//! engine parameters, wall clock) for tooling. `--shards K` runs every
-//! workload (sweeps and `--record`) on the sharded event queue with `K`
-//! shards; sharded execution is byte-identical to sequential
-//! (`tests/shard_equivalence.rs`), so only wall-clock-exempt cells may
-//! change. `--shard-threads T` additionally drains the shards' time
-//! windows on up to `T` scoped worker threads per trial — still
-//! byte-identical, and capped against `--jobs` so the two pools never
-//! multiply past the available cores (threads only unfold when jobs
-//! leave cores idle, e.g. `--jobs 1`).
+//! engine parameters, wall clock) for tooling.
 //!
 //! Stdout is **byte-identical for any `J`** — including adaptive trial
 //! counts and plot lines: trial `i` is seeded by `SimRng::split(i)`,
 //! aggregates fold in `(point, trial)` order, and adaptive stop decisions
 //! happen at fixed batch boundaries. (The JSON files carry wall-clock
-//! seconds, and the `scale` experiment's `events/s` column is wall clock;
+//! seconds, and the `scale` experiment's `seq ev/s` column is wall clock;
 //! both are exempt from the byte-identity contract — every other cell of
 //! every table is covered.)
 //!
@@ -64,8 +56,7 @@
 //! per experiment (latency/slack histograms, per-node counters, in-flight
 //! depth — see `docs/OBSERVABILITY.md`); `--chrome-trace FILE` exports the
 //! single selected experiment's span timeline as Perfetto-loadable Chrome
-//! trace-event JSON. The three outputs compose freely and may run sharded
-//! (`--shards K`); every deterministic byte is identical either way. The
+//! trace-event JSON. The three outputs compose freely. The
 //! `replay` subcommand re-reads stored trace files — `repro replay FILE`
 //! re-runs a fresh `OnlineValidator` over the stored stream and prints the
 //! same summary block (byte-identical to the recording run's, for a
@@ -84,7 +75,7 @@
 //! cargo run --release -p amac-bench --bin repro -- --trials 8 --target-ci 0.05 --max-trials 128
 //! cargo run --release -p amac-bench --bin repro -- consensus_crash --trials 8 --json out/
 //! cargo run --release -p amac-bench --bin repro -- consensus_crash --record traces/
-//! cargo run --release -p amac-bench --bin repro -- scale --shards 4 --metrics out/ --chrome-trace out/scale.trace.json
+//! cargo run --release -p amac-bench --bin repro -- scale --metrics out/ --chrome-trace out/scale.trace.json
 //! cargo run --release -p amac-bench --bin repro -- replay traces/consensus_crash.amactrace
 //! cargo run --release -p amac-bench --bin repro -- replay traces/consensus_crash.amactrace --observer metrics
 //! cargo run --release -p amac-bench --bin repro -- check consensus --nodes 3 --depth full
@@ -104,7 +95,7 @@ fn usage_exit() -> ! {
     eprintln!(
         "usage: repro [EXPERIMENT ...] [--list] [--markdown] [--smoke] [--trials N] [--jobs J] \
          [--target-ci FRAC] [--max-trials M] [--dump-traces DIR] [--plots] [--json DIR] \
-         [--record DIR] [--metrics DIR] [--chrome-trace FILE] [--shards K] [--shard-threads T]"
+         [--record DIR] [--metrics DIR] [--chrome-trace FILE]"
     );
     eprintln!(
         "       repro replay FILE [FILE ...] \
@@ -189,8 +180,6 @@ fn main() {
     let mut record_dir: Option<PathBuf> = None;
     let mut metrics_dir: Option<PathBuf> = None;
     let mut chrome_trace: Option<PathBuf> = None;
-    let mut shards = 0usize;
-    let mut shard_threads = 0usize;
     let mut replay_mode = false;
     let mut replay_files: Vec<PathBuf> = Vec::new();
     let mut observer = "validator".to_string();
@@ -235,8 +224,6 @@ fn main() {
             "--record" => record_dir = Some(dir_arg(&mut args, "--record")),
             "--metrics" => metrics_dir = Some(dir_arg(&mut args, "--metrics")),
             "--chrome-trace" => chrome_trace = Some(dir_arg(&mut args, "--chrome-trace")),
-            "--shards" => shards = count_arg(&mut args, "--shards"),
-            "--shard-threads" => shard_threads = count_arg(&mut args, "--shard-threads"),
             "--observer" => {
                 observer = args.next().unwrap_or_else(|| {
                     eprintln!(
@@ -325,8 +312,6 @@ fn main() {
         record_canonical(
             &specs,
             smoke,
-            shards,
-            shard_threads,
             record_dir.as_deref(),
             metrics_dir.as_deref(),
             chrome_trace.as_deref(),
@@ -337,9 +322,7 @@ fn main() {
 
     let mut runner = TrialRunner::new(trials, jobs)
         .with_trace_capture(dump_traces.is_some())
-        .with_plots(plots)
-        .with_shards(shards)
-        .with_shard_threads(shard_threads);
+        .with_plots(plots);
     if let Some(frac) = target_ci {
         // Adaptive mode needs headroom above the floor; default the cap to
         // 8x the floor when --max-trials is not given.
@@ -473,12 +456,9 @@ fn write_named_json(dir: &Path, docs: &[(String, String)]) {
 /// reproduce; metrics land as `METRICS_<id>.json` under the metrics
 /// directory; the chrome trace is written by the harness as the run
 /// finishes.
-#[allow(clippy::too_many_arguments)]
 fn record_canonical(
     specs: &[&'static ExperimentSpec],
     smoke: bool,
-    shards: usize,
-    shard_threads: usize,
     record_dir: Option<&Path>,
     metrics_dir: Option<&Path>,
     chrome_trace: Option<&Path>,
@@ -500,8 +480,6 @@ fn record_canonical(
         let started = Instant::now();
         let opts = amac_bench::CanonicalOpts {
             smoke,
-            shards,
-            shard_threads,
             record: record_dir.map(Path::to_path_buf),
             metrics: metrics_dir.is_some(),
             chrome_trace: chrome_trace.map(Path::to_path_buf),

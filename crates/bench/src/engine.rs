@@ -71,7 +71,7 @@
 use amac_mac::trace::Trace;
 use amac_mac::ValidationReport;
 use amac_sim::stats::Aggregate;
-use amac_sim::{ShardStats, SimRng};
+use amac_sim::SimRng;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -150,7 +150,6 @@ pub struct CellCapture {
 pub struct CellResult {
     values: Vec<f64>,
     capture: Option<CellCapture>,
-    shard_stats: Option<ShardStats>,
 }
 
 impl CellResult {
@@ -159,7 +158,6 @@ impl CellResult {
         CellResult {
             values: vec![value],
             capture: None,
-            shard_stats: None,
         }
     }
 
@@ -169,7 +167,6 @@ impl CellResult {
         CellResult {
             values,
             capture: None,
-            shard_stats: None,
         }
     }
 
@@ -178,15 +175,6 @@ impl CellResult {
     /// experiments can pass `report.trace`-derived options unconditionally).
     pub fn with_capture(mut self, capture: Option<CellCapture>) -> CellResult {
         self.capture = capture;
-        self
-    }
-
-    /// Attaches the cell's sharded-queue statistics; the engine folds them
-    /// across all cells via [`ShardStats::merge`] and surfaces the total on
-    /// [`SweepRun::shard_stats`]. `None` (a sequential run) is a no-op, so
-    /// experiments can pass `report.shard_stats` unconditionally.
-    pub fn with_shard_stats(mut self, stats: Option<ShardStats>) -> CellResult {
-        self.shard_stats = stats;
         self
     }
 }
@@ -296,22 +284,12 @@ impl PointRun {
 #[derive(Clone, Debug)]
 pub struct SweepRun {
     points: Vec<PointRun>,
-    shard_stats: Option<ShardStats>,
 }
 
 impl SweepRun {
     /// All sweep points in declaration order.
     pub fn points(&self) -> &[PointRun] {
         &self.points
-    }
-
-    /// Sharded-queue statistics merged over every measured cell
-    /// ([`ShardStats::merge`] is commutative, so the total is independent
-    /// of `--jobs`), or `None` when no cell reported any (sequential
-    /// runs). Outlier-capture replays are excluded — they re-run cells
-    /// already counted.
-    pub fn shard_stats(&self) -> Option<&ShardStats> {
-        self.shard_stats.as_ref()
     }
 
     /// One sweep point.
@@ -346,8 +324,6 @@ pub struct TrialRunner {
     target_ci: Option<f64>,
     capture: bool,
     plots: bool,
-    shards: usize,
-    shard_threads: usize,
 }
 
 impl TrialRunner {
@@ -362,8 +338,6 @@ impl TrialRunner {
             target_ci: None,
             capture: false,
             plots: false,
-            shards: 0,
-            shard_threads: 0,
         }
     }
 
@@ -433,8 +407,6 @@ impl TrialRunner {
             target_ci: None,
             capture: self.capture,
             plots: self.plots,
-            shards: self.shards,
-            shard_threads: self.shard_threads,
         }
     }
 
@@ -471,55 +443,6 @@ impl TrialRunner {
     /// `true` when distribution plots are enabled.
     pub fn plots(&self) -> bool {
         self.plots
-    }
-
-    /// Sets the event-queue shard count experiments should run their
-    /// workloads with (0 = the sequential runtime). Sharding never changes
-    /// measured completion times or validator verdicts (see
-    /// `tests/shard_equivalence.rs`), so tables stay byte-identical across
-    /// `--shards` except for explicitly exempt wall-clock cells.
-    pub fn with_shards(mut self, shards: usize) -> TrialRunner {
-        self.shards = shards;
-        self
-    }
-
-    /// The event-queue shard count (0 = sequential).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Sets the *requested* per-trial shard worker-thread count (0 = the
-    /// fused single-core drain). Like `--shards`, threading never changes
-    /// a measured value or a delivered byte, so the effective count may be
-    /// capped (see
-    /// [`effective_shard_threads`](Self::effective_shard_threads)) without
-    /// perturbing any output.
-    pub fn with_shard_threads(mut self, threads: usize) -> TrialRunner {
-        self.shard_threads = threads;
-        self
-    }
-
-    /// The requested shard worker-thread count (0 = fused drain).
-    pub fn shard_threads(&self) -> usize {
-        self.shard_threads
-    }
-
-    /// The shard worker-thread count each trial actually runs with.
-    ///
-    /// **Oversubscription policy:** the engine already fans `--jobs`
-    /// workers out over the cores, and every one of those workers would
-    /// spawn `--shard-threads` scoped shard workers of its own — the
-    /// product, not the max, hits the scheduler. The effective per-trial
-    /// count is therefore capped at `max(1, cores / jobs)`: with the pool
-    /// saturated (`--jobs` = cores) trials run the fused drain's
-    /// single-core equivalent (1 thread), and shard threads only unfold
-    /// when jobs leave cores idle (e.g. `--jobs 1`, the `scale` default).
-    /// Capping is output-invariant: thread count never changes bytes.
-    pub fn effective_shard_threads(&self) -> usize {
-        if self.shards == 0 || self.shard_threads == 0 {
-            return 0;
-        }
-        self.shard_threads.min((default_jobs() / self.jobs).max(1))
     }
 
     /// Runs a sweep of `widths.len()` points, each measuring `widths[p]`
@@ -578,7 +501,6 @@ impl TrialRunner {
             .collect();
         let mut lane0: Vec<Vec<f64>> = vec![Vec::new(); points];
         let mut converged = vec![false; points];
-        let mut shard_stats: Option<ShardStats> = None;
 
         let mut done = 0usize;
         for target in batch_boundaries(self.trials, self.max_trials, self.target_ci.is_some()) {
@@ -615,11 +537,6 @@ impl TrialRunner {
                     for (aggregate, &x) in aggregates[p].iter_mut().zip(&cell.values) {
                         aggregate.record(x);
                     }
-                    if let Some(stats) = &cell.shard_stats {
-                        shard_stats
-                            .get_or_insert_with(ShardStats::default)
-                            .merge(stats);
-                    }
                 }
             }
             done = target;
@@ -650,7 +567,6 @@ impl TrialRunner {
                     outliers,
                 })
                 .collect(),
-            shard_stats,
         }
     }
 

@@ -75,8 +75,6 @@ pub fn run(
 ) -> AblationAbort {
     // Points: 2i = with abort @ f_acks[i], 2i+1 = without abort.
     let widths = vec![1usize; 2 * f_acks.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -114,12 +112,10 @@ pub fn run(
                 &params,
                 setup.trial_seed ^ 0xAB,
                 LazyPolicy::new(),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads)
-                    .stopping_on_completion(),
+                &super::cell_options(cell.capture_requested()).stopping_on_completion(),
             );
             CellResult::scalar(report.completion_ticks() as f64)
                 .with_capture(super::fmmb_capture(&report))
-                .with_shard_stats(report.shard_stats.clone())
         },
     );
     let label = |i: usize| {
@@ -175,7 +171,6 @@ pub fn run(
     );
 
     super::append_plots(&mut table, runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     AblationAbort {
         points,

@@ -111,8 +111,6 @@ pub fn run(
     // Three lanes per point: decision time, the per-trial violation
     // count, and the MAC broadcast count.
     let widths = vec![3usize; fractions.len() + ns.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -130,7 +128,7 @@ pub fn run(
                 &params,
                 faults,
                 LazyPolicy::new().prefer_duplicates(),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &super::cell_options(cell.capture_requested()),
             );
             let ticks = super::ticks_or_end(report.completion, report.end_time) as f64;
             let violations = report.violation_count() as f64;
@@ -142,9 +140,7 @@ pub fn run(
                     trace,
                     validation: report.validation.clone(),
                 });
-            CellResult::vector(vec![ticks, violations, broadcasts])
-                .with_capture(capture)
-                .with_shard_stats(report.shard_stats.clone())
+            CellResult::vector(vec![ticks, violations, broadcasts]).with_capture(capture)
         },
     );
     let label = |i: usize| {
@@ -226,7 +222,6 @@ pub fn run(
          exactly there (w.h.p. analogue of NR18 Thm 2, deterministic in this FloodSet variant)",
     );
     super::append_plots(&mut table, runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     ConsensusCrash {
         f_sweep,

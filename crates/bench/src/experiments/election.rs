@@ -83,8 +83,6 @@ pub fn run(
     let config = MacConfig::from_ticks(f_prog, f_ack).enhanced();
     // Four lanes: convergence, claimants, violations, per-trial bound.
     let widths = vec![4usize; ns.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -114,7 +112,7 @@ pub fn run(
                 rng.next(),
                 FaultPlan::new(),
                 LazyPolicy::new(),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &super::cell_options(cell.capture_requested()),
             );
             let d = net.dual.diameter() as u64;
             let bound = window + 2 * (d + 1) * (f_prog + 1);
@@ -137,7 +135,6 @@ pub fn run(
                 bound as f64,
             ])
             .with_capture(capture)
-            .with_shard_stats(report.shard_stats.clone())
         },
     );
     let label = |i: usize| format!("n={}", ns[i]);
@@ -192,7 +189,6 @@ pub fn run(
          later back-off timers — the wake-up argument of NR18",
     );
     super::append_plots(&mut table, runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     Election {
         n_sweep,

@@ -103,8 +103,6 @@ pub fn run(
         }
     };
     let widths = vec![1usize; ds.len() + ks.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         0,
         &widths,
@@ -116,11 +114,10 @@ pub fn run(
                 k,
                 config,
                 shortcuts(d),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &super::cell_options(cell.capture_requested()),
             );
             CellResult::scalar(report.completion_ticks() as f64)
                 .with_capture(super::mmb_capture(&report))
-                .with_shard_stats(report.shard_stats.clone())
         },
     );
     let label = |i: usize| {
@@ -245,7 +242,6 @@ pub fn run(
     );
 
     super::append_plots(&mut table, &runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     Fig1Arbitrary {
         d_sweep,

@@ -98,8 +98,6 @@ pub fn run(
         .take(2 * f_acks.len())
         .chain(std::iter::repeat(2).take(ns.len()))
         .collect();
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -144,8 +142,7 @@ pub fn run(
             }
         },
         |setup, cell| {
-            let options = super::cell_options(cell.capture_requested(), shards, shard_threads)
-                .stopping_on_completion();
+            let options = super::cell_options(cell.capture_requested()).stopping_on_completion();
             if cell.point < 2 * f_acks.len() {
                 let f_ack = f_acks[cell.point / 2];
                 let cfg = MacConfig::from_ticks(f_prog, f_ack);
@@ -159,7 +156,6 @@ pub fn run(
                     );
                     CellResult::scalar(bmmb.completion_ticks() as f64)
                         .with_capture(super::mmb_capture(&bmmb))
-                        .with_shard_stats(bmmb.shard_stats.clone())
                 } else {
                     let fmmb = run_fmmb(
                         &setup.cross_net.dual,
@@ -176,7 +172,6 @@ pub fn run(
                     // a lower bound on the true completion time.
                     CellResult::scalar(super::ticks_or_end(fmmb.completion, fmmb.end_time) as f64)
                         .with_capture(super::fmmb_capture(&fmmb))
-                        .with_shard_stats(fmmb.shard_stats.clone())
                 }
             } else {
                 // Size sweep (fixed moderate F_ack; FMMB does not depend
@@ -199,7 +194,6 @@ pub fn run(
                     bounds::fmmb_enhanced(n, s.d, k, &cfg).ticks().max(1) as f64,
                 ])
                 .with_capture(super::fmmb_capture(&report))
-                .with_shard_stats(report.shard_stats.clone())
             }
         },
     );
@@ -293,7 +287,6 @@ pub fn run(
     ));
 
     super::append_plots(&mut table, runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     Fig1Fmmb {
         crossover,

@@ -85,23 +85,15 @@ pub fn run(
         }
     };
     let widths = vec![1usize; ds.len() + ks.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         0,
         &widths,
         |_trial| (),
         |_, cell| {
             let (d, k) = point_params(cell.point);
-            let report = measure(
-                d,
-                k,
-                config,
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
-            );
+            let report = measure(d, k, config, &super::cell_options(cell.capture_requested()));
             CellResult::scalar(report.completion_ticks() as f64)
                 .with_capture(super::mmb_capture(&report))
-                .with_shard_stats(report.shard_stats.clone())
         },
     );
     let label = |i: usize| {
@@ -195,7 +187,6 @@ pub fn run(
     ));
 
     super::append_plots(&mut table, &runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     Fig1Gg {
         d_sweep,

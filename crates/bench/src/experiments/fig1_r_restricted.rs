@@ -73,8 +73,6 @@ pub fn run(
     runner: &TrialRunner,
 ) -> Fig1RRestricted {
     let widths = vec![1usize; rs.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -87,11 +85,10 @@ pub fn run(
                 rs[cell.point],
                 edge_probability,
                 cell.seed(seed),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &super::cell_options(cell.capture_requested()),
             );
             CellResult::scalar(report.completion_ticks() as f64)
                 .with_capture(super::mmb_capture(&report))
-                .with_shard_stats(report.shard_stats.clone())
         },
     );
     let label = |i: usize| format!("r={}", rs[i]);
@@ -148,7 +145,6 @@ pub fn run(
     table.note("r=1 reproduces the G'=G cell; growing r interpolates toward (D+k)*F_ack");
 
     super::append_plots(&mut table, runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     Fig1RRestricted {
         r_sweep,

@@ -61,14 +61,12 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
         *runner
     };
     let widths = vec![1usize; ks.len() + ds.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         0,
         &widths,
         |_trial| (),
         |_, cell| {
-            let options = super::cell_options(cell.capture_requested(), shards, shard_threads);
+            let options = super::cell_options(cell.capture_requested());
             let report = if cell.point < ks.len() {
                 run_choke_star(ks[cell.point], config, &options)
             } else {
@@ -76,7 +74,6 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
             };
             CellResult::scalar(report.completion_ticks as f64)
                 .with_capture(super::mmb_capture(&report.run))
-                .with_shard_stats(report.run.shard_stats.clone())
         },
     );
     let label = |i: usize| {
@@ -155,7 +152,6 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
     ));
 
     super::append_plots(&mut table, &runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     LowerBounds {
         star,

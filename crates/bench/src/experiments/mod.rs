@@ -14,7 +14,7 @@
 //! | `ABL-ABORT` | [`ablation_abort`] | ablation: FMMB without the abort interface |
 //! | `CONS` | [`consensus_crash`] | NR18/ZT24 crash-tolerant consensus on the aMAC layer |
 //! | `ELECT` | [`election`] | NR18 wake-up/leader election via broadcast back-off |
-//! | `SCALE` | [`scale`] | runtime throughput + streaming-validation memory at n ≤ 10⁶, sharded or sequential |
+//! | `SCALE` | [`scale`] | runtime throughput + streaming-validation memory at n ≤ 10⁶ |
 
 pub mod ablation_abort;
 pub mod consensus_crash;
@@ -47,39 +47,11 @@ pub struct LabeledOutlier {
 
 /// Run options for one sweep cell: the fast no-validation path normally,
 /// the trace-capturing path when the engine is replaying an outlier.
-/// `shards` comes from the runner (`--shards K`): every cell of every
-/// experiment runs the sharded event queue, so per-shard diagnostics are
-/// available suite-wide, not just for `scale`. `threads` is the runner's
-/// *effective* shard worker-thread count
-/// ([`TrialRunner::effective_shard_threads`]) — already capped against
-/// `--jobs` oversubscription, and output-invariant either way.
-pub(crate) fn cell_options(capture: bool, shards: usize, threads: usize) -> RunOptions {
-    let options = if capture {
+pub(crate) fn cell_options(capture: bool) -> RunOptions {
+    if capture {
         RunOptions::fast().capturing_trace()
     } else {
         RunOptions::fast()
-    };
-    options.with_shards(shards).with_shard_threads(threads)
-}
-
-/// Appends the sweep's merged sharded-queue diagnostics as a table note —
-/// the uniform way every experiment surfaces `ShardStats` in its table
-/// and `BENCH_<id>.json` when `--shards K` is set. No-op on sequential
-/// runs, so tables stay byte-identical without `--shards`. (`scale` skips
-/// this: it reports the same diagnostics as dedicated per-point columns.)
-pub(crate) fn append_shard_note(table: &mut Table, run: &SweepRun) {
-    if let Some(stats) = run.shard_stats() {
-        table.note(format!(
-            "shards: {} x {}-tick windows; {} barrier(s), {} outboxed, {} lookahead miss(es), \
-             peak shard q {}, barrier slack {} tick(s)",
-            stats.shards,
-            stats.window_ticks,
-            stats.barriers,
-            stats.outboxed,
-            stats.lookahead_misses,
-            stats.max_peak_pending(),
-            stats.total_slack_ticks(),
-        ));
     }
 }
 
@@ -263,22 +235,9 @@ impl ExperimentSpec {
 
     /// Records the experiment's canonical execution (`smoke` picks the
     /// small parameterisation) to `dir/<id>.amactrace` — see
-    /// [`crate::record`]. A non-zero `shards` records through the sharded
-    /// event queue and a non-zero `shard_threads` drains it on scoped
-    /// worker threads; the bytes are identical by construction either way.
-    pub fn record(
-        &self,
-        dir: &std::path::Path,
-        smoke: bool,
-        shards: usize,
-        shard_threads: usize,
-    ) -> crate::record::RecordedTrace {
-        let run = (self.canonical)(&crate::record::CanonicalOpts::recording(
-            dir,
-            smoke,
-            shards,
-            shard_threads,
-        ));
+    /// [`crate::record`].
+    pub fn record(&self, dir: &std::path::Path, smoke: bool) -> crate::record::RecordedTrace {
+        let run = (self.canonical)(&crate::record::CanonicalOpts::recording(dir, smoke));
         run.trace.expect("recording was requested")
     }
 }
@@ -399,7 +358,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             id: "scale",
             label: "SCALE",
             summary: "runtime throughput + streaming validation, n up to 1M",
-            detail: "BMMB floods on 1k..1M-node grid duals (sharded with --shards K): events/s, validator and shard peaks",
+            detail: "BMMB floods on 1k..1M-node grid duals: events/s and validator peaks",
             deterministic: scale::DETERMINISTIC,
             run: run_scale,
             canonical: crate::record::scale,

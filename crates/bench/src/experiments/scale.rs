@@ -1,7 +1,5 @@
 //! `SCALE` — runtime throughput and streaming-validation memory at
-//! `n` up to 10⁶ (10⁵ in smoke mode), measured on **three engines side by
-//! side**: the sequential runtime, the fused sharded queue, and the
-//! thread-per-shard drain.
+//! `n` up to 10⁶ (10⁵ in smoke mode).
 //!
 //! This experiment is about the *system*, not the paper: it sweeps BMMB
 //! floods over large `G′ = G` jittered-grid duals
@@ -10,35 +8,23 @@
 //! never dominates the measurement) with the streaming
 //! [`OnlineValidator`](amac_mac::OnlineValidator) attached, and reports
 //!
-//! * **seq / fused / thr ev/s** — wall-clock runtime throughput of each
-//!   engine on the identical workload (the wall-clock columns exempt from
-//!   the byte-identity contract, like the JSON wall clock), plus the
-//!   **thr/fused** speedup ratio — the parallel-speedup trajectory
-//!   `BENCH_scale.json` records;
+//! * **seq ev/s** — wall-clock runtime throughput (the one wall-clock
+//!   column, exempt from the byte-identity contract like the JSON wall
+//!   clock);
 //! * **peak live / peak tracked** — the validator's peak in-flight state,
 //!   the evidence that conformance checking no longer retains the
 //!   execution: at `n = 10⁵` the validator tracks a few thousand instance
 //!   records while the execution produces millions of events;
-//! * **shards / threads / peak shard q / barrier slack** — the sharded
-//!   engines' configuration and diagnostics: the max per-shard peak
-//!   pending-event count and the total simulated-time slack shards
-//!   accumulated at conservative-window barriers (from the fused run,
-//!   deterministic for a given `K`). Sharding and threading never change
-//!   any workload column (`tests/shard_equivalence.rs` proves
-//!   byte-identical traces; every point below re-asserts the cheap
-//!   version of that claim inline);
 //! * **violations** — always 0: every sweep point is a fully validated
 //!   execution.
 //!
 //! Before the observer refactor these sweeps were memory-bound: a
 //! validated run materialized the full trace (O(events)) and re-scanned it
 //! post hoc. The pre-refactor pin recorded in the table notes is the
-//! anchor for the throughput trajectory in `BENCH_scale.json`; the
-//! criterion bench `flood_grid_sharded_threads` (micro.rs) pins the
-//! fused-vs-threaded ratio at a fixed small size.
+//! anchor for the throughput trajectory in `BENCH_scale.json`.
 
 use super::LabeledOutlier;
-use crate::engine::{default_jobs, CellResult, TrialRunner};
+use crate::engine::{CellResult, TrialRunner};
 use crate::table::Table;
 use amac_core::{run_bmmb, Assignment, MmbReport, RunOptions};
 use amac_graph::{generators, NodeId};
@@ -47,17 +33,12 @@ use amac_mac::MacConfig;
 use amac_sim::SimRng;
 use std::time::Instant;
 
-/// One measured scale point: the identical workload timed on all three
-/// engines.
+/// One measured scale point.
 #[derive(Clone, Debug)]
 pub struct ScalePoint {
     /// Network size (nodes on the jittered grid).
     pub n: usize,
-    /// Shard count of the fused and threaded runs.
-    pub shards: usize,
-    /// Worker-thread count of the threaded run.
-    pub shard_threads: usize,
-    /// Total runtime events processed (identical on all three engines).
+    /// Total runtime events processed.
     pub events: u64,
     /// MAC instances broadcast.
     pub instances: u64,
@@ -68,24 +49,11 @@ pub struct ScalePoint {
     /// Peak live + recently-retired instance records (the validator's
     /// whole per-instance memory).
     pub peak_tracked: u64,
-    /// Max over shards of the peak per-shard pending-event count, from
-    /// the fused run.
-    pub peak_shard_pending: u64,
-    /// Total simulated-time ticks of conservative-window slack accumulated
-    /// at shard barriers, from the fused run.
-    pub barrier_slack: u64,
     /// Validation violations (must be 0).
     pub violations: u64,
-    /// Sequential-engine wall-clock events per second (machine-dependent;
-    /// exempt from the byte-identity contract, as are the next three).
+    /// Wall-clock events per second (machine-dependent; exempt from the
+    /// byte-identity contract).
     pub seq_events_per_sec: f64,
-    /// Fused sharded-engine wall-clock events per second.
-    pub fused_events_per_sec: f64,
-    /// Thread-per-shard engine wall-clock events per second.
-    pub threaded_events_per_sec: f64,
-    /// `threaded_events_per_sec / fused_events_per_sec` — the parallel
-    /// speedup the threaded drain buys over the fused coordinator.
-    pub threaded_speedup: f64,
 }
 
 /// Results of the `SCALE` experiment.
@@ -93,20 +61,11 @@ pub struct ScalePoint {
 pub struct Scale {
     /// One point per swept `n`.
     pub points: Vec<ScalePoint>,
-    /// Aggregate threaded-engine wall-clock throughput over the whole
-    /// sweep: total events processed divided by total measured seconds
-    /// (machine-dependent).
-    pub aggregate_events_per_sec: f64,
-    /// Aggregate fused-engine wall-clock throughput over the whole sweep.
-    pub aggregate_fused_events_per_sec: f64,
     /// Captured outlier traces (capture replays re-run with a trace
     /// observer attached; empty otherwise).
     pub outliers: Vec<LabeledOutlier>,
-    /// Rendered table. The four `ev/s` columns, the speedup column, and
-    /// the aggregate note are wall clock; the shard-diagnostic columns
-    /// depend on the shard configuration; every other cell is
-    /// byte-identical across `--jobs`, `--shards`, `--shard-threads`, and
-    /// machines.
+    /// Rendered table. The `seq ev/s` column is wall clock; every other
+    /// cell is byte-identical across `--jobs` and machines.
     pub table: Table,
 }
 
@@ -123,19 +82,11 @@ pub const PRE_REFACTOR_PIN_EVENTS_PER_SEC: f64 = 3_200_000.0;
 /// Messages flooded per point (small and fixed: the sweep scales `n`).
 const MESSAGES: usize = 2;
 
-/// Shard count of the fused and threaded measurement lanes when the
-/// runner carries no `--shards`.
-const DEFAULT_SHARDS: usize = 4;
-
-/// Worker-thread request of the threaded lane when the runner carries no
-/// `--shard-threads` (clamped to the available cores).
-const DEFAULT_THREADS: usize = 4;
-
 /// Topology seed. Only the grid jitter flows from it (grey probability is
 /// 0, so `G′ = G` and the edge set is fixed by the grid arithmetic).
 const TOPOLOGY_SEED: u64 = 0x5CA1E;
 
-fn measure(n: usize, shards: usize, threads: usize, capture: bool) -> (MmbReport, f64) {
+fn measure(n: usize, capture: bool) -> (MmbReport, f64) {
     let mut rng = SimRng::seed(TOPOLOGY_SEED ^ n as u64);
     let net = generators::grid_grey_zone_network(n, 0.0, &mut rng).expect("n >= 1");
     let assignment = Assignment::all_at(NodeId::new(0), MESSAGES);
@@ -144,35 +95,15 @@ fn measure(n: usize, shards: usize, threads: usize, capture: bool) -> (MmbReport
         RunOptions::default().capturing_trace()
     } else {
         RunOptions::default() // streaming validation on, no trace
-    }
-    .with_shards(shards)
-    .with_shard_threads(threads);
+    };
     let started = Instant::now();
     let report = run_bmmb(&net.dual, config, &assignment, EagerPolicy::new(), &options);
     (report, started.elapsed().as_secs_f64())
 }
 
 /// Runs the scale sweep over the given network sizes, timing every point
-/// on the sequential runtime, the fused sharded queue, and the
-/// thread-per-shard drain. The runner's `--shards` picks the shard count
-/// of the two sharded lanes (default 4) and `--shard-threads` the
-/// threaded lane's worker request (default 4, clamped to the cores).
+/// once.
 pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
-    let shards = if runner.shards() > 0 {
-        runner.shards()
-    } else {
-        DEFAULT_SHARDS
-    };
-    // The wall-clock lanes run outside the engine pool, one at a time, so
-    // the `--jobs` oversubscription cap does not apply here — only the
-    // physical core count does.
-    let threads = if runner.shard_threads() > 0 {
-        runner.shard_threads()
-    } else {
-        DEFAULT_THREADS
-    }
-    .min(default_jobs())
-    .max(1);
     let runner = runner.deterministic();
     // The engine sweep exists solely to serve `--dump-traces` outlier
     // capture; without capture its results would be discarded, so skip
@@ -185,7 +116,7 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
             &widths,
             |_trial| (),
             |_, cell| {
-                let (report, _) = measure(ns[cell.point], shards, 0, cell.capture_requested());
+                let (report, _) = measure(ns[cell.point], cell.capture_requested());
                 CellResult::scalar(report.completion_ticks() as f64)
                     .with_capture(super::mmb_capture(&report))
             },
@@ -195,136 +126,70 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
         Vec::new()
     };
 
-    // The wall-clock lanes are measured outside the engine, sequentially
+    // The wall-clock lane is measured outside the engine, sequentially
     // and after a warm-up, so worker contention never pollutes the
     // throughput numbers (and the engine's aggregates stay fully
     // deterministic).
-    let _warmup = measure(ns[0], shards, threads, false);
-    let mut total_events = 0u64;
-    let mut total_threaded_secs = 0.0f64;
-    let mut total_fused_secs = 0.0f64;
+    let _warmup = measure(ns[0], false);
     let points: Vec<ScalePoint> = ns
         .iter()
         .map(|&n| {
-            let (seq_report, seq_secs) = measure(n, 0, 0, false);
-            let (fused_report, fused_secs) = measure(n, shards, 0, false);
-            let (thr_report, thr_secs) = measure(n, shards, threads, false);
-            let stats = seq_report
+            let (report, secs) = measure(n, false);
+            let stats = report
                 .validator_stats
                 .expect("scale runs with streaming validation attached");
-            let violations = seq_report
+            let violations = report
                 .validation
                 .as_ref()
                 .map_or(0, |v| v.violations().len() as u64);
             assert_eq!(
-                seq_report.missing, 0,
-                "scale flood must complete at n={n}: {seq_report}"
+                report.missing, 0,
+                "scale flood must complete at n={n}: {report}"
             );
-            let events = seq_report.counters.get("events");
-            // The cheap inline re-proof of the byte-identity contract:
-            // all three engines agree on every workload observable.
-            for (engine, report) in [("fused", &fused_report), ("threaded", &thr_report)] {
-                assert_eq!(
-                    (
-                        report.counters.get("events"),
-                        report.instances,
-                        report.completion_ticks(),
-                        report.missing,
-                    ),
-                    (
-                        events,
-                        seq_report.instances,
-                        seq_report.completion_ticks(),
-                        0
-                    ),
-                    "{engine} engine diverged from sequential at n={n}"
-                );
-            }
-            total_events += events;
-            total_threaded_secs += thr_secs;
-            total_fused_secs += fused_secs;
-            let (peak_shard_pending, barrier_slack) =
-                fused_report.shard_stats.as_ref().map_or((0, 0), |s| {
-                    (s.max_peak_pending() as u64, s.total_slack_ticks())
-                });
-            let fused_eps = events as f64 / fused_secs.max(1e-9);
-            let thr_eps = events as f64 / thr_secs.max(1e-9);
+            let events = report.counters.get("events");
             ScalePoint {
                 n,
-                shards,
-                shard_threads: threads,
                 events,
-                instances: seq_report.instances as u64,
-                completion: seq_report.completion_ticks(),
+                instances: report.instances as u64,
+                completion: report.completion_ticks(),
                 peak_live: stats.peak_live as u64,
                 peak_tracked: stats.peak_tracked as u64,
-                peak_shard_pending,
-                barrier_slack,
                 violations,
-                seq_events_per_sec: events as f64 / seq_secs.max(1e-9),
-                fused_events_per_sec: fused_eps,
-                threaded_events_per_sec: thr_eps,
-                threaded_speedup: thr_eps / fused_eps.max(1e-9),
+                seq_events_per_sec: events as f64 / secs.max(1e-9),
             }
         })
         .collect();
-    let aggregate_events_per_sec = total_events as f64 / total_threaded_secs.max(1e-9);
-    let aggregate_fused_events_per_sec = total_events as f64 / total_fused_secs.max(1e-9);
 
     let mut table = Table::new(
         format!(
-            "SCALE  BMMB flood, G'=G jittered grid, streaming validation (k={MESSAGES}, eager); \
-             sequential vs fused-sharded vs thread-per-shard"
+            "SCALE  BMMB flood, G'=G jittered grid, streaming validation (k={MESSAGES}, eager)"
         ),
         &[
             "n",
-            "shards",
-            "threads",
             "events",
             "instances",
             "completion",
             "peak live",
             "peak tracked",
-            "peak shard q",
-            "barrier slack",
             "seq ev/s",
-            "fused ev/s",
-            "thr ev/s",
-            "thr/fused",
             "violations",
         ],
     );
     for p in &points {
         table.row([
             p.n.to_string(),
-            p.shards.to_string(),
-            p.shard_threads.to_string(),
             p.events.to_string(),
             p.instances.to_string(),
             p.completion.to_string(),
             p.peak_live.to_string(),
             p.peak_tracked.to_string(),
-            p.peak_shard_pending.to_string(),
-            p.barrier_slack.to_string(),
             format!("{:.2e}", p.seq_events_per_sec),
-            format!("{:.2e}", p.fused_events_per_sec),
-            format!("{:.2e}", p.threaded_events_per_sec),
-            format!("{:.2}x", p.threaded_speedup),
             p.violations.to_string(),
         ]);
     }
-    table.note(format!(
-        "aggregate: threaded {aggregate_events_per_sec:.2e} events/s vs fused \
-         {aggregate_fused_events_per_sec:.2e} events/s over the sweep ({total_events} events, \
-         {shards} shard(s), {threads} worker(s)); the criterion bench flood_grid_sharded_threads \
-         pins the same fused-vs-threaded ratio at fixed size",
-    ));
     table.note(
-        "seq/fused/thr ev/s, thr/fused, and the aggregate are wall clock (machine-dependent) and \
-         exempt from the byte-identity contract; shards/threads/peak shard q/barrier slack \
-         describe the engine configuration (deterministic for a given --shards); every other \
-         column is invariant across --jobs, --shards, and --shard-threads — each point asserts \
-         events/instances/completion equality across all three engines inline",
+        "seq ev/s is wall clock (machine-dependent) and exempt from the byte-identity contract; \
+         every other column is invariant across --jobs",
     );
     table.note(format!(
         "peak live/tracked = streaming validator state: bounded by in-flight instances, \
@@ -334,25 +199,20 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
 
     Scale {
         points,
-        aggregate_events_per_sec,
-        aggregate_fused_events_per_sec,
         outliers,
         table,
     }
 }
 
 /// Default parameterisation: 10³ → 10⁶ on the jittered grid. The 10⁶
-/// point is tens of seconds wall clock per engine (14M events; see the
-/// worked example in EXPERIMENTS.md) — full mode only, smoke stops at
-/// 10⁵.
+/// point is tens of seconds wall clock (14M events; see the worked
+/// example in EXPERIMENTS.md) — full mode only, smoke stops at 10⁵.
 pub fn run_default_with(runner: &TrialRunner) -> Scale {
     run(&[1000, 10_000, 100_000, 1_000_000], runner)
 }
 
 /// Smoke parameterisation: seconds-scale in release builds, but still
-/// driving a fully validated n=10⁵ execution end-to-end on all three
-/// engines (the acceptance bar for the threaded simulator; CI runs it
-/// with `--shards 4 --shard-threads 2`).
+/// driving a fully validated n=10⁵ execution end-to-end.
 pub fn run_smoke_with(runner: &TrialRunner) -> Scale {
     run(&[1000, 100_000], runner)
 }
@@ -418,41 +278,7 @@ mod tests {
             small.peak_live,
             big.peak_live
         );
-        assert!(res.aggregate_events_per_sec > 0.0);
-        assert!(res.aggregate_fused_events_per_sec > 0.0);
-    }
-
-    /// Every point times all three engines on the identical workload:
-    /// the run itself asserts events/instances/completion equality
-    /// inline, so here we check the configuration and diagnostics
-    /// surface — shard and thread counts recorded per point, non-trivial
-    /// fused diagnostics, positive throughput in every lane.
-    #[test]
-    fn three_engine_lanes_share_the_workload_columns() {
-        let res = run(
-            &[600],
-            &TrialRunner::new(1, 2).with_shards(4).with_shard_threads(2),
-        );
-        let p = &res.points[0];
-        assert_eq!(p.shards, 4);
-        assert!(p.shard_threads >= 1, "threaded lane always runs workers");
-        assert!(p.peak_shard_pending > 0, "fused run tracks per-shard peaks");
-        assert!(p.seq_events_per_sec > 0.0);
-        assert!(p.fused_events_per_sec > 0.0);
-        assert!(p.threaded_events_per_sec > 0.0);
-        assert!(p.threaded_speedup > 0.0);
-    }
-
-    /// Without `--shards`/`--shard-threads` the sharded lanes fall back
-    /// to the default configuration instead of degenerating to three
-    /// sequential runs.
-    #[test]
-    fn default_runner_still_exercises_all_three_engines() {
-        let res = run(&[400], &TrialRunner::new(1, 2));
-        let p = &res.points[0];
-        assert_eq!(p.shards, DEFAULT_SHARDS);
-        assert!(p.shard_threads >= 1);
-        assert!(p.peak_shard_pending > 0);
+        assert!(small.seq_events_per_sec > 0.0 && big.seq_events_per_sec > 0.0);
     }
 
     // Jobs invariance of the deterministic columns lives in the

@@ -43,8 +43,6 @@ pub struct InstrumentedRun {
     pub milestones: Milestones,
     /// The MAC trace and validator verdict, when capture was requested.
     pub capture: Option<CellCapture>,
-    /// Sharded-queue statistics when the run was sharded.
-    pub shard_stats: Option<amac_sim::ShardStats>,
 }
 
 /// Runs FMMB while checking node-state milestones once per round
@@ -57,14 +55,13 @@ pub fn run_instrumented<P: Policy>(
     seed: u64,
     policy: P,
 ) -> Milestones {
-    run_instrumented_traced(dual, config, assignment, params, seed, policy, 0, 0, false).milestones
+    run_instrumented_traced(dual, config, assignment, params, seed, policy, false).milestones
 }
 
 /// Runs FMMB while checking node-state milestones once per round; with
-/// `capture` set, also records the MAC trace and validates it post-hoc,
-/// and a non-zero `shards` runs the sharded event queue. Neither disturbs
-/// the execution, so the milestones are identical either way.
-#[allow(clippy::too_many_arguments)]
+/// `capture` set, also records the MAC trace and validates it post-hoc.
+/// Capture does not disturb the execution, so the milestones are
+/// identical either way.
 pub fn run_instrumented_traced<P: Policy>(
     dual: &DualGraph,
     config: MacConfig,
@@ -72,8 +69,6 @@ pub fn run_instrumented_traced<P: Policy>(
     params: &FmmbParams,
     seed: u64,
     policy: P,
-    shards: usize,
-    shard_threads: usize,
     capture: bool,
 ) -> InstrumentedRun {
     assert!(config.is_enhanced(), "FMMB requires the enhanced model");
@@ -91,12 +86,6 @@ pub fn run_instrumented_traced<P: Policy>(
         })
         .collect();
     let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    if shards > 0 {
-        rt = rt.with_shards(shards);
-        if shard_threads > 0 {
-            rt = rt.with_shard_threads(shard_threads);
-        }
-    }
     if capture {
         rt = rt.tracing();
     }
@@ -164,7 +153,6 @@ pub fn run_instrumented_traced<P: Policy>(
     InstrumentedRun {
         milestones,
         capture,
-        shard_stats: rt.shard_stats(),
     }
 }
 
@@ -239,8 +227,6 @@ pub fn run(
         .chain(std::iter::repeat(1).take(ks.len()))
         .chain(std::iter::repeat(3).take(ns.len()))
         .collect();
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         1234,
         &widths,
@@ -316,7 +302,6 @@ pub fn run(
                 // this point's trial, unlike the other sweeps where the
                 // trace is exactly the run behind the statistic.
                 let mut capture = None;
-                let mut shard_stats: Option<amac_sim::ShardStats> = None;
                 for (si, &seed) in seeds.iter().enumerate() {
                     let traced = run_instrumented_traced(
                         &net.dual,
@@ -325,18 +310,11 @@ pub fn run(
                         params,
                         seed ^ setup.salt,
                         amac_mac::policies::LazyPolicy::new(),
-                        shards,
-                        shard_threads,
                         cell.capture_requested() && si == 0,
                     );
                     let m = traced.milestones;
                     if si == 0 {
                         capture = traced.capture;
-                    }
-                    if let Some(stats) = &traced.shard_stats {
-                        shard_stats
-                            .get_or_insert_with(amac_sim::ShardStats::default)
-                            .merge(stats);
                     }
                     decided_sum += m.all_decided_round.unwrap_or(m.mis_segment_rounds) as f64;
                     valid += usize::from(m.mis_valid);
@@ -347,7 +325,6 @@ pub fn run(
                     params.schedule(n).mis_rounds() as f64,
                 ])
                 .with_capture(capture)
-                .with_shard_stats(shard_stats)
             } else if cell.point < ns.len() + ks.len() {
                 // --- SUB-GATHER: sweep k on the fixed network ---
                 let (params, assignment) = &setup.gather[cell.point - ns.len()];
@@ -358,8 +335,6 @@ pub fn run(
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    shards,
-                    shard_threads,
                     cell.capture_requested(),
                 );
                 let m = traced.milestones;
@@ -371,9 +346,7 @@ pub fn run(
                     .gather_done_round
                     .map(|g| g.saturating_sub(m.gather_start_round) as f64)
                     .unwrap_or(f64::NAN);
-                CellResult::scalar(used)
-                    .with_capture(traced.capture)
-                    .with_shard_stats(traced.shard_stats)
+                CellResult::scalar(used).with_capture(traced.capture)
             } else {
                 // --- SUB-SPREAD: sweep n (D grows with sqrt n) ---
                 let idx = cell.point - ns.len() - ks.len();
@@ -385,8 +358,6 @@ pub fn run(
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    shards,
-                    shard_threads,
                     cell.capture_requested(),
                 );
                 let m = traced.milestones;
@@ -402,7 +373,6 @@ pub fn run(
                     ((*d as u64 + k_fixed as u64) * lg) as f64,
                 ])
                 .with_capture(traced.capture)
-                .with_shard_stats(traced.shard_stats)
             }
         },
     );
@@ -514,7 +484,6 @@ pub fn run(
     table.note("rounds used are until the milestone, not the (longer) fixed schedule");
 
     super::append_plots(&mut table, runner, &run, label);
-    super::append_shard_note(&mut table, &run);
 
     Subroutines {
         mis,

@@ -273,7 +273,7 @@ mod tests {
     fn trace_document_shape_is_valid_enough() {
         let dir = std::env::temp_dir().join("amac-bench-json-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let opts = crate::record::CanonicalOpts::recording(&dir, true, 0, 0);
+        let opts = crate::record::CanonicalOpts::recording(&dir, true);
         let recorded = crate::record::consensus_crash(&opts)
             .trace
             .expect("recording was requested");

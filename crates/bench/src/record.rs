@@ -15,9 +15,8 @@
 //! when the store is faithful.
 //!
 //! Neither the trace format (`docs/TRACE_FORMAT.md`) nor the metrics
-//! report's deterministic payload stores wall-clock data, so every
-//! function here produces byte-identical deterministic outputs on every
-//! run and machine, at any `--shards` setting.
+//! report stores wall-clock data, so every function here produces
+//! byte-identical outputs on every run and machine.
 
 use std::path::{Path, PathBuf};
 
@@ -46,18 +45,11 @@ pub struct RecordedTrace {
 
 /// What a canonical execution is asked to produce: a recorded trace, a
 /// deterministic metrics report, a Chrome trace-event export, or any
-/// combination. `smoke` picks the small parameterisation and `shards` the
-/// sharded event queue — neither changes the deterministic outputs (see
-/// `tests/shard_equivalence.rs` and `tests/determinism.rs`).
+/// combination. `smoke` picks the small parameterisation.
 #[derive(Clone, Debug, Default)]
 pub struct CanonicalOpts {
     /// Small (seconds-scale) parameterisation.
     pub smoke: bool,
-    /// Event-queue shards: `0` runs the sequential runtime.
-    pub shards: usize,
-    /// Shard worker threads: `0` keeps the fused single-core drain.
-    /// Ignored when `shards == 0`; never changes the recorded bytes.
-    pub shard_threads: usize,
     /// Directory receiving `<id>.amactrace`, when recording.
     pub record: Option<PathBuf>,
     /// Collect a deterministic sim-time
@@ -69,16 +61,9 @@ pub struct CanonicalOpts {
 
 impl CanonicalOpts {
     /// Options for plain recording — the historical `--record DIR` shape.
-    pub fn recording(
-        dir: impl AsRef<Path>,
-        smoke: bool,
-        shards: usize,
-        shard_threads: usize,
-    ) -> CanonicalOpts {
+    pub fn recording(dir: impl AsRef<Path>, smoke: bool) -> CanonicalOpts {
         CanonicalOpts {
             smoke,
-            shards,
-            shard_threads,
             record: Some(dir.as_ref().to_path_buf()),
             ..CanonicalOpts::default()
         }
@@ -91,9 +76,7 @@ impl CanonicalOpts {
             .record
             .as_deref()
             .map(|dir| dir.join(format!("{id}.amactrace")));
-        let mut options = RunOptions::default()
-            .with_shards(self.shards)
-            .with_shard_threads(self.shard_threads);
+        let mut options = RunOptions::default();
         if let Some(path) = &path {
             options = options.recording(path, seed);
         }
@@ -414,7 +397,7 @@ mod tests {
     fn every_registry_experiment_records_and_replays_identically() {
         let dir = temp_dir("all");
         for spec in crate::experiments::registry() {
-            let recorded = spec.record(&dir, true, 0, 0);
+            let recorded = spec.record(&dir, true);
             let replayed = replay_validate(TraceReader::open(&recorded.path).unwrap())
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.id));
             assert_eq!(
@@ -430,7 +413,7 @@ mod tests {
     #[test]
     fn consensus_trace_stores_its_fault_plan_digest() {
         let dir = temp_dir("cons");
-        let recorded = consensus_crash(&CanonicalOpts::recording(&dir, true, 0, 0))
+        let recorded = consensus_crash(&CanonicalOpts::recording(&dir, true))
             .trace
             .expect("recording was requested");
         assert_ne!(recorded.summary.header.fault_plan_digest, 0);

@@ -217,13 +217,11 @@ fn strip_columns(
 
 #[test]
 fn scale_tables_are_jobs_invariant_modulo_wall_clock() {
-    // The scale experiment's four wall-clock throughput columns (and the
-    // speedup ratio derived from two of them) are exempt from the
-    // byte-identity contract (like the JSON wall clock); every other
-    // cell — events, instances, completion, validator peaks, shard
-    // diagnostics, violations — must be byte-identical across worker
-    // counts.
-    const WALL: &[&str] = &["seq ev/s", "fused ev/s", "thr ev/s", "thr/fused"];
+    // The scale experiment's wall-clock throughput column is exempt from
+    // the byte-identity contract (like the JSON wall clock); every other
+    // cell — events, instances, completion, validator peaks, violations —
+    // must be byte-identical across worker counts.
+    const WALL: &[&str] = &["seq ev/s"];
     let serial = experiments::scale::run(&[200, 600], &TrialRunner::new(4, 1));
     let parallel = experiments::scale::run(&[200, 600], &TrialRunner::new(4, 8));
     assert_eq!(
@@ -233,121 +231,16 @@ fn scale_tables_are_jobs_invariant_modulo_wall_clock() {
     );
 }
 
-#[test]
-fn scale_tables_are_shards_invariant_modulo_diagnostics() {
-    // `--shards K` (and `--shard-threads T`) replay the identical event
-    // sequence (proven trace-level in tests/shard_equivalence.rs), so
-    // every workload cell — events, instances, completion, validator
-    // peaks, violations — must be byte-identical across the jobs × shards
-    // × threads grid. Only the wall-clock throughput/speedup cells and
-    // the configuration/diagnostic columns (which describe the engine
-    // setup itself) are exempt.
-    const EXEMPT: &[&str] = &[
-        "seq ev/s",
-        "fused ev/s",
-        "thr ev/s",
-        "thr/fused",
-        "shards",
-        "threads",
-        "peak shard q",
-        "barrier slack",
-    ];
-    let render = |jobs: usize, shards: usize, threads: usize| {
-        let runner = TrialRunner::new(4, jobs)
-            .with_shards(shards)
-            .with_shard_threads(threads);
-        strip_columns(&experiments::scale::run(&[200, 600], &runner).table, EXEMPT)
-    };
-    let reference = render(1, 0, 0);
-    for jobs in [1usize, 8] {
-        for (shards, threads) in [(0usize, 0usize), (1, 2), (4, 0), (4, 4), (7, 3)] {
-            assert_eq!(
-                reference,
-                render(jobs, shards, threads),
-                "SCALE: jobs={jobs} shards={shards} threads={threads} must agree with \
-                 the sequential run on every workload cell"
-            );
-        }
-    }
-}
-
 /// Runs an experiment's canonical execution with metrics enabled (and,
 /// when `trace` is set, a chrome-trace export written to that path).
-fn canonical_obs(
-    id: &str,
-    shards: usize,
-    shard_threads: usize,
-    trace: Option<std::path::PathBuf>,
-) -> amac_bench::CanonicalRun {
+fn canonical_obs(id: &str, trace: Option<std::path::PathBuf>) -> amac_bench::CanonicalRun {
     let spec = experiments::find(id).expect("registry id");
     spec.canonical(&amac_bench::CanonicalOpts {
         smoke: true,
-        shards,
-        shard_threads,
         metrics: true,
         chrome_trace: trace,
         ..amac_bench::CanonicalOpts::default()
     })
-}
-
-#[test]
-fn metrics_payloads_are_shards_invariant() {
-    // Canonical executions are single runs — the jobs knob never applies
-    // to them, so the observability grid collapses to the shard axis.
-    // tests/shard_equivalence.rs pins trace-level equality; this pins the
-    // *rendered* METRICS document. deterministic_payload strips the
-    // clearly-labelled "nondeterministic" member (wall-clock shard
-    // profiling); everything else must be byte-identical, per the
-    // acceptance criterion on `repro scale --shards 4 --metrics`.
-    for id in ["scale", "consensus_crash"] {
-        let reference = amac_obs::deterministic_payload(
-            &canonical_obs(id, 0, 0, None)
-                .metrics
-                .expect("metrics were requested")
-                .to_json(id),
-        );
-        for shards in [1usize, 4] {
-            let sharded = amac_obs::deterministic_payload(
-                &canonical_obs(id, shards, 0, None)
-                    .metrics
-                    .expect("metrics were requested")
-                    .to_json(id),
-            );
-            assert_eq!(
-                reference, sharded,
-                "{id}: shards={shards} must produce the sequential metrics payload"
-            );
-        }
-    }
-}
-
-#[test]
-fn metrics_payloads_are_shard_thread_invariant() {
-    // The thread-per-shard drain adds the last determinism axis: the
-    // rendered METRICS payload must survive the full threads x shards
-    // grid. (Worker lanes land in the stripped "nondeterministic"
-    // member, so wall-clock profiling never leaks into the comparison.)
-    let reference = amac_obs::deterministic_payload(
-        &canonical_obs("scale", 0, 0, None)
-            .metrics
-            .expect("metrics were requested")
-            .to_json("scale"),
-    );
-    for shards in [1usize, 2, 4] {
-        for threads in [1usize, 2, 4] {
-            let threaded = amac_obs::deterministic_payload(
-                &canonical_obs("scale", shards, threads, None)
-                    .metrics
-                    .expect("metrics were requested")
-                    .to_json("scale"),
-            );
-            assert_eq!(
-                reference, threaded,
-                "scale: shards={shards} threads={threads} must produce the \
-                 sequential metrics payload"
-            );
-        }
-    }
 }
 
 #[test]
@@ -356,7 +249,7 @@ fn fault_free_metrics_respect_the_ack_bound() {
     // delivery-latency histogram's upper edge is bounded by the model's
     // ack deadline (consensus_crash injects crashes and is exempt).
     for id in ["fig1_gg", "fig1_fmmb", "scale"] {
-        let metrics = canonical_obs(id, 0, 0, None)
+        let metrics = canonical_obs(id, None)
             .metrics
             .expect("metrics were requested");
         assert!(metrics.bcasts > 0, "{id}: empty run");
@@ -367,53 +260,27 @@ fn fault_free_metrics_respect_the_ack_bound() {
     }
 }
 
-/// Rewrites every `"tid":N` to `"tid":0` — the track id is the one field
-/// that legitimately varies with `--shards` (it *is* the shard index).
-fn strip_track_ids(doc: &str) -> String {
-    let mut out = String::with_capacity(doc.len());
-    let mut rest = doc;
-    while let Some(at) = rest.find("\"tid\":") {
-        let digits_at = at + "\"tid\":".len();
-        out.push_str(&rest[..digits_at]);
-        out.push('0');
-        rest = rest[digits_at..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
 #[test]
-fn chrome_traces_are_shards_invariant_modulo_track_ids() {
-    // The span timeline observes the identical execution at every shard
-    // count, so the exported chrome trace must be byte-identical except
-    // for `tid`, which deliberately encodes the shard lane.
+fn canonical_chrome_trace_is_repeatable_and_has_spans() {
+    // The span timeline of the canonical scale run is a Chrome trace-event
+    // document with complete spans, and two runs export the same bytes.
     let dir = std::env::temp_dir().join("amac-bench-determinism-spans");
     std::fs::create_dir_all(&dir).unwrap();
-    let render = |shards: usize| {
-        let path = dir.join(format!("trace-{shards}.json"));
-        canonical_obs("scale", shards, 0, Some(path.clone()));
+    let render = |run: usize| {
+        let path = dir.join(format!("trace-{run}.json"));
+        canonical_obs("scale", Some(path.clone()));
         let doc = std::fs::read_to_string(&path).expect("chrome trace written");
         std::fs::remove_file(&path).ok();
         doc
     };
-    let sequential = render(0);
-    assert!(sequential.starts_with("{\"traceEvents\":["));
-    assert!(sequential.contains("\"ph\":\"X\""), "spans present");
-    let reference = strip_track_ids(&sequential);
-    for shards in [1usize, 4] {
-        let sharded = render(shards);
-        assert_eq!(
-            reference,
-            strip_track_ids(&sharded),
-            "SCALE: shards={shards} chrome trace must match modulo track ids"
-        );
-        if shards > 1 {
-            assert_ne!(
-                sequential, sharded,
-                "sharded spans must actually ride shard lanes"
-            );
-        }
-    }
+    let first = render(0);
+    assert!(first.starts_with("{\"traceEvents\":["));
+    assert!(first.contains("\"ph\":\"X\""), "spans present");
+    assert_eq!(
+        first,
+        render(1),
+        "SCALE: the chrome trace must be repeatable"
+    );
 }
 
 #[test]

@@ -45,12 +45,12 @@ pub struct FmmbReport {
     pub trace: Option<Trace>,
     /// Total rounds in the schedule (for round-based accounting).
     pub schedule_rounds: u64,
-    /// Per-shard execution statistics when the run was sharded
-    /// ([`RunOptions::shards`] ≥ 1), `None` for sequential runs.
-    pub shard_stats: Option<amac_sim::ShardStats>,
+    /// Always `None`. The benchmark under `perfbench/` builds this report
+    /// as a struct literal that names the field, so the field stays, with
+    /// a type that can hold no value, until that literal drops it.
+    pub shard_stats: Option<std::convert::Infallible>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
-    /// set (with the shard diagnostics side channel attached on sharded
-    /// runs).
+    /// set.
     pub metrics: Option<amac_obs::MetricsReport>,
 }
 
@@ -163,12 +163,6 @@ pub fn run_fmmb<P: Policy>(
         .collect();
 
     let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    if options.shards > 0 {
-        rt = rt.with_shards(options.shards);
-        if options.shard_threads > 0 {
-            rt = rt.with_shard_threads(options.shard_threads);
-        }
-    }
     let validator = options
         .validate
         .then(|| rt.attach(OnlineValidator::new(dual.clone(), config)));
@@ -176,10 +170,7 @@ pub fn run_fmmb<P: Policy>(
     let recorder =
         crate::harness::attach_recorder(options, dual, config, None).map(|store| rt.attach(store));
     let metrics = crate::harness::make_metrics(options, config).map(|m| rt.attach(m));
-    let spans = crate::harness::make_spans(options, dual).map(|s| rt.attach(s));
-    if options.metrics {
-        rt.enable_shard_profiling();
-    }
+    let spans = crate::harness::make_spans(options).map(|s| rt.attach(s));
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -217,11 +208,7 @@ pub fn run_fmmb<P: Policy>(
     if let Some(handle) = recorder {
         crate::harness::finish_recorder(rt.detach(handle), outcome == RunOutcome::Idle);
     }
-    let metrics = metrics.map(|handle| {
-        rt.detach(handle)
-            .into_report()
-            .with_shard_diagnostics(rt.shard_stats(), rt.shard_profile())
-    });
+    let metrics = metrics.map(|handle| rt.detach(handle).into_report());
     if let (Some(handle), Some(path)) = (spans, options.chrome_trace.as_deref()) {
         crate::harness::finish_spans(&rt.detach(handle), path);
     }
@@ -239,7 +226,7 @@ pub fn run_fmmb<P: Policy>(
         validator_stats,
         trace,
         schedule_rounds: schedule.total_rounds(),
-        shard_stats: rt.shard_stats(),
+        shard_stats: None,
         metrics,
     }
 }

@@ -35,33 +35,13 @@ pub struct RunOptions {
     /// Record the execution to this trace file by attaching a streaming
     /// [`amac_store::StoreObserver`] — O(1) memory, every MAC event and
     /// fault goes to disk in emission order, replayable with
-    /// `repro replay` (see `docs/TRACE_FORMAT.md`).
-    pub record: Option<PathBuf>,
-    /// Seed stamped into a recorded trace's header (purely metadata: it
-    /// identifies which seeded execution the file holds). Ignored without
-    /// [`record`](RunOptions::record).
-    pub record_seed: u64,
-    /// Number of event-queue shards: `0` (the default) runs the classic
-    /// sequential runtime; `k ≥ 1` runs the sharded runtime
-    /// ([`Runtime::with_shards`]) with `k` conservative time-windowed
-    /// shards. The execution is byte-identical either way — sharding
-    /// changes how events are queued, never what happens.
-    pub shards: usize,
-    /// Worker threads for the sharded queue's window barrier
-    /// ([`Runtime::with_shard_threads`]): `0` (the default) keeps the
-    /// fused single-core drain; `t ≥ 1` integrates and extracts the K
-    /// shards' windows on up to `t` scoped threads (clamped to the shard
-    /// count) with adaptive window widths. Like
-    /// [`shards`](RunOptions::shards), this never changes a delivered
-    /// byte — byte-identity holds for every `(shards, shard_threads)`.
-    /// Ignored when `shards == 0`.
-    pub shard_threads: usize,
+    /// `repro replay` (see `docs/TRACE_FORMAT.md`). The seed is stamped
+    /// into the file's header (purely metadata: it identifies which
+    /// seeded execution the file holds).
+    pub record: Option<(PathBuf, u64)>,
     /// Attach a streaming [`amac_obs::MetricsObserver`] and return its
     /// [`amac_obs::MetricsReport`] in the report: sim-time latency/slack
-    /// histograms,
-    /// per-node counters, and the in-flight depth series. On sharded runs
-    /// this also enables the queue's wall-clock self-profiling, delivered
-    /// in the report's nondeterministic side channel.
+    /// histograms, per-node counters, and the in-flight depth series.
     pub metrics: bool,
     /// Attach an [`amac_obs::SpanObserver`] and export the execution's
     /// span timeline as Chrome trace-event JSON (Perfetto-loadable) to
@@ -77,9 +57,6 @@ impl Default for RunOptions {
             stop_on_completion: false,
             horizon: Time::MAX,
             record: None,
-            record_seed: 0,
-            shards: 0,
-            shard_threads: 0,
             metrics: false,
             chrome_trace: None,
         }
@@ -120,24 +97,7 @@ impl RunOptions {
     /// Records the execution to the trace file at `path`, stamping `seed`
     /// into its header (see [`RunOptions::record`]).
     pub fn recording(mut self, path: impl AsRef<Path>, seed: u64) -> RunOptions {
-        self.record = Some(path.as_ref().to_path_buf());
-        self.record_seed = seed;
-        self
-    }
-
-    /// Runs on `shards` event-queue shards (see [`RunOptions::shards`]);
-    /// `0` restores the sequential runtime.
-    pub fn with_shards(mut self, shards: usize) -> RunOptions {
-        self.shards = shards;
-        self
-    }
-
-    /// Drains the sharded queue's windows on up to `threads` scoped
-    /// worker threads (see [`RunOptions::shard_threads`]); `0` restores
-    /// the fused single-core drain. No effect unless
-    /// [`with_shards`](RunOptions::with_shards) is also set.
-    pub fn with_shard_threads(mut self, threads: usize) -> RunOptions {
-        self.shard_threads = threads;
+        self.record = Some((path.as_ref().to_path_buf(), seed));
         self
     }
 
@@ -172,8 +132,8 @@ pub fn attach_recorder(
     config: MacConfig,
     faults: Option<&amac_mac::FaultPlan>,
 ) -> Option<amac_store::StoreObserver> {
-    options.record.as_deref().map(|path| {
-        amac_store::StoreObserver::create(path, dual, config, options.record_seed, faults)
+    options.record.as_ref().map(|(path, seed)| {
+        amac_store::StoreObserver::create(path, dual, config, *seed, faults)
             .unwrap_or_else(|e| panic!("cannot record trace to {}: {e}", path.display()))
     })
 }
@@ -202,26 +162,13 @@ pub fn make_metrics(options: &RunOptions, config: MacConfig) -> Option<amac_obs:
 }
 
 /// Builds a [`SpanObserver`](amac_obs::SpanObserver) per
-/// `options.chrome_trace`. On sharded runs the observer gets the same
-/// contiguous node partition [`Runtime::with_shards`] uses, so spans
-/// render one Perfetto track per shard.
+/// `options.chrome_trace`; shared by every harness.
 #[doc(hidden)]
-pub fn make_spans(
-    options: &RunOptions,
-    dual: &amac_graph::DualGraph,
-) -> Option<amac_obs::SpanObserver> {
-    options.chrome_trace.as_ref().map(|_| {
-        let mut spans = amac_obs::SpanObserver::new();
-        if options.shards > 0 {
-            let k = options.shards.min(amac_sim::MAX_SHARDS);
-            let part = amac_graph::partition::contiguous(dual, k);
-            let tracks = (0..dual.len())
-                .map(|i| part.shard_of(NodeId::new(i)) as u32)
-                .collect();
-            spans = spans.with_tracks(tracks);
-        }
-        spans
-    })
+pub fn make_spans(options: &RunOptions) -> Option<amac_obs::SpanObserver> {
+    options
+        .chrome_trace
+        .as_ref()
+        .map(|_| amac_obs::SpanObserver::new())
 }
 
 /// Writes a detached [`SpanObserver`](amac_obs::SpanObserver)'s Chrome
@@ -265,12 +212,8 @@ pub struct MmbReport {
     /// The recorded execution trace, when [`RunOptions::keep_trace`] was
     /// set.
     pub trace: Option<Trace>,
-    /// Per-shard execution statistics when the run was sharded
-    /// ([`RunOptions::shards`] ≥ 1), `None` for sequential runs.
-    pub shard_stats: Option<amac_sim::ShardStats>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
-    /// set (with the shard diagnostics side channel attached on sharded
-    /// runs).
+    /// set.
     pub metrics: Option<amac_obs::MetricsReport>,
 }
 
@@ -327,22 +270,13 @@ where
     let mut make_node = make_node;
     let nodes = (0..dual.len()).map(|i| make_node(NodeId::new(i))).collect();
     let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    if options.shards > 0 {
-        rt = rt.with_shards(options.shards);
-        if options.shard_threads > 0 {
-            rt = rt.with_shard_threads(options.shard_threads);
-        }
-    }
     let validator = options
         .validate
         .then(|| rt.attach(OnlineValidator::new(dual.clone(), config)));
     let tracer = options.keep_trace.then(|| rt.attach(TraceObserver::new()));
     let recorder = attach_recorder(options, dual, config, None).map(|store| rt.attach(store));
     let metrics = make_metrics(options, config).map(|m| rt.attach(m));
-    let spans = make_spans(options, dual).map(|s| rt.attach(s));
-    if options.metrics {
-        rt.enable_shard_profiling();
-    }
+    let spans = make_spans(options).map(|s| rt.attach(s));
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -374,11 +308,7 @@ where
     if let Some(handle) = recorder {
         finish_recorder(rt.detach(handle), outcome == RunOutcome::Idle);
     }
-    let metrics = metrics.map(|handle| {
-        rt.detach(handle)
-            .into_report()
-            .with_shard_diagnostics(rt.shard_stats(), rt.shard_profile())
-    });
+    let metrics = metrics.map(|handle| rt.detach(handle).into_report());
     if let (Some(handle), Some(path)) = (spans, options.chrome_trace.as_deref()) {
         finish_spans(&rt.detach(handle), path);
     }
@@ -394,7 +324,6 @@ where
         validation,
         validator_stats,
         trace,
-        shard_stats: rt.shard_stats(),
         metrics,
     }
 }

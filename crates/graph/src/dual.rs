@@ -64,8 +64,8 @@ impl DualGraph {
     /// caller-supplied diameter for `G`, skipping the all-pairs BFS.
     ///
     /// `DualGraph::new` costs `O(n · |E|)` to compute the diameter, which is
-    /// prohibitive for the 10⁵–10⁶-node networks the sharded simulator
-    /// targets. Generators whose topology has an analytically known diameter
+    /// prohibitive for the 10⁵–10⁶-node networks of the `scale` sweep.
+    /// Generators whose topology has an analytically known diameter
     /// (e.g. [`crate::generators::grid_grey_zone_network`]) use this
     /// constructor instead. The supergraph invariant is still validated; the
     /// diameter is not (callers must supply the exact value, since the MMB

@@ -199,7 +199,7 @@ const GRID_JITTER: f64 = 0.02;
 /// Unlike [`grey_zone_network`] (rejection-sampled uniform points, `O(n²)`
 /// pair scan, `O(n · |E|)` diameter), this generator needs no connectivity
 /// rejection and no all-pairs BFS, so it scales to the 10⁵–10⁶-node duals
-/// the sharded simulator targets. The grey-zone constraint (`c = 2`) holds
+/// of the `scale` sweep. The grey-zone constraint (`c = 2`) holds
 /// by construction and is spot-checked in debug builds for small `n`.
 ///
 /// # Errors

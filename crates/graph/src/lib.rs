@@ -42,11 +42,9 @@ pub mod generators;
 pub mod geometry;
 mod graph;
 mod node;
-pub mod partition;
 
 pub use dual::DualGraph;
 pub use error::GraphError;
 pub use geometry::{Embedding, Point};
 pub use graph::{Graph, GraphBuilder};
 pub use node::{NodeId, NodeSet};
-pub use partition::Partition;

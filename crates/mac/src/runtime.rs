@@ -56,11 +56,9 @@ use crate::node::{Automaton, Command, Ctx};
 use crate::observer::{Observer, ObserverHandle, ObserverSet, TraceObserver};
 use crate::policy::{BcastInfo, ForcedCandidate, Policy, PolicyCtx};
 use crate::trace::{Trace, TraceEntry, TraceKind};
-use amac_graph::{DualGraph, NodeId, Partition};
+use amac_graph::{DualGraph, NodeId};
 use amac_sim::stats::Counters;
-use amac_sim::{
-    Duration, EventId, EventQueue, FastHashMap, FastHashSet, ShardStats, ShardedEventQueue, Time,
-};
+use amac_sim::{Duration, EventId, EventQueue, FastHashMap, FastHashSet, Time};
 use std::fmt;
 use std::sync::Arc;
 
@@ -99,70 +97,6 @@ enum Ev<E> {
     ProgressCheck(NodeId),
     Timer(NodeId, u64, u64),
     Fault(NodeId, FaultKind),
-}
-
-/// The runtime's pending-event queue: a single [`EventQueue`] (the default)
-/// or a [`ShardedEventQueue`] routing each event to its node's shard (see
-/// [`Runtime::with_shards`]). Methods mirror the queue API with the routing
-/// node made explicit. Kept as a plain field (not behind an accessor) so
-/// cancel sites can split borrows against `slots`.
-enum Queue<E> {
-    Single(EventQueue<E>),
-    Sharded {
-        q: Box<ShardedEventQueue<E>>,
-        part: Partition,
-    },
-}
-
-impl<E> Queue<E> {
-    fn now(&self) -> Time {
-        match self {
-            Queue::Single(q) => q.now(),
-            Queue::Sharded { q, .. } => q.now(),
-        }
-    }
-
-    fn schedule(&mut self, at: Time, node: NodeId, event: E) -> EventId {
-        match self {
-            Queue::Single(q) => q.schedule(at, event),
-            Queue::Sharded { q, part } => q.schedule(part.shard_of(node), at, event),
-        }
-    }
-
-    fn schedule_after(&mut self, delay: Duration, node: NodeId, event: E) -> EventId {
-        match self {
-            Queue::Single(q) => q.schedule_after(delay, event),
-            Queue::Sharded { q, part } => q.schedule_after(part.shard_of(node), delay, event),
-        }
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            Queue::Single(q) => q.cancel(id),
-            Queue::Sharded { q, .. } => q.cancel(id),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, E)> {
-        match self {
-            Queue::Single(q) => q.pop(),
-            Queue::Sharded { q, .. } => q.pop(),
-        }
-    }
-
-    fn pop_through(&mut self, horizon: Time) -> Option<(Time, E)> {
-        match self {
-            Queue::Single(q) => q.pop_through(horizon),
-            Queue::Sharded { q, .. } => q.pop_through(horizon),
-        }
-    }
-
-    fn is_empty(&mut self) -> bool {
-        match self {
-            Queue::Single(q) => q.is_empty(),
-            Queue::Sharded { q, .. } => q.is_empty(),
-        }
-    }
 }
 
 /// One sender's broadcast slot: the state of its in-flight instance, if
@@ -252,7 +186,7 @@ pub struct Runtime<A: Automaton, P: Policy> {
     config: MacConfig,
     nodes: Vec<A>,
     policy: P,
-    queue: Queue<Ev<A::Env>>,
+    queue: EventQueue<Ev<A::Env>>,
     /// Per sender: its broadcast slot.
     slots: Vec<Slot<A::Msg>>,
     /// Instances started so far, i.e. the next broadcast's id.
@@ -319,7 +253,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             config,
             nodes,
             policy,
-            queue: Queue::Single(queue),
+            queue,
             slots: (0..n).map(|_| Slot::idle()).collect(),
             started: 0,
             live_protectors: vec![0; n],
@@ -381,126 +315,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         self
     }
 
-    /// Switches the runtime to sharded execution: the dual graph is
-    /// partitioned into `k` contiguous BFS blocks
-    /// ([`amac_graph::partition::contiguous`]) and events run on one
-    /// [`ShardedEventQueue`] shard per block, synchronized by conservative
-    /// time windows of width `min(F_prog, F_ack)` with cross-shard events
-    /// exchanged at window barriers in canonical `(tick, shard, slot)`
-    /// order.
-    ///
-    /// The execution — observer stream, traces, validator verdicts,
-    /// digests — is **byte-identical** to the sequential runtime for every
-    /// seed and every `k` (including `k = 1`): the shards share one event
-    /// sequence counter and the coordinator always pops the globally
-    /// minimal `(time, seq)` event, so the total event order is exactly
-    /// the sequential one.
-    ///
-    /// `k` is clamped to [`amac_sim::MAX_SHARDS`]; `k` may exceed the node
-    /// count (trailing shards stay empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, or if called after
-    /// [`with_faults`](Runtime::with_faults),
-    /// [`inject`](Runtime::inject), or the first
-    /// step — sharding must be decided before any event beyond the initial
-    /// node starts is scheduled, so the shared sequence numbering matches
-    /// the sequential runtime's.
-    pub fn with_shards(mut self, k: usize) -> Self {
-        assert!(k >= 1, "shard count must be at least 1");
-        let k = k.min(amac_sim::MAX_SHARDS);
-        let n = self.dual.len();
-        match &self.queue {
-            Queue::Single(q) => assert!(
-                q.now() == Time::ZERO && q.delivered() == 0 && q.pending_upper_bound() == n,
-                "with_shards must be called before with_faults/inject and before stepping"
-            ),
-            Queue::Sharded { .. } => panic!("with_shards called twice"),
-        }
-        let window = self.config.f_prog().min(self.config.f_ack());
-        let part = amac_graph::partition::contiguous(&self.dual, k);
-        let mut q = ShardedEventQueue::new(k, window);
-        for i in 0..n {
-            let node = NodeId::new(i);
-            q.schedule(part.shard_of(node), Time::ZERO, Ev::Start(node));
-        }
-        self.queue = Queue::Sharded {
-            q: Box::new(q),
-            part,
-        };
-        self
-    }
-
-    /// Deploys the sharded queue's **thread-per-shard drain**: at every
-    /// window barrier, up to `threads` scoped workers
-    /// (`std::thread::scope`, clamped to the shard count) integrate
-    /// buffered cross-window events and extract the next window from
-    /// their shards' heaps in parallel, while the runtime's handlers —
-    /// and therefore the observer stream, every policy draw, and all
-    /// instance numbering — keep executing serially on the coordinator in
-    /// canonical `(time, seq)` order. Execution stays **byte-identical**
-    /// to the sequential runtime for every `(shards, threads)` pair; the
-    /// window width adapts to the measured lookahead-miss and
-    /// barrier-slack rates ([`amac_sim::WindowTuning::Adaptive`]), which
-    /// is order-neutral by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`with_shards`](Runtime::with_shards) was called
-    /// first, or if events were already delivered.
-    pub fn with_shard_threads(mut self, threads: usize) -> Self
-    where
-        A::Env: Send,
-    {
-        match &mut self.queue {
-            Queue::Single(_) => panic!("with_shard_threads requires with_shards first"),
-            Queue::Sharded { q, .. } => {
-                q.enable_threaded_drain(threads, amac_sim::WindowTuning::Adaptive);
-            }
-        }
-        self
-    }
-
-    /// Barrier-worker threads of the threaded shard drain (0 when fused
-    /// or sequential).
-    pub fn shard_threads(&self) -> usize {
-        match &self.queue {
-            Queue::Single(_) => 0,
-            Queue::Sharded { q, .. } => q.drain_threads(),
-        }
-    }
-
-    /// Per-shard execution statistics (barriers, outboxed cross-shard
-    /// events, lookahead misses, peak pending, barrier slack), or `None`
-    /// in sequential mode.
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        match &self.queue {
-            Queue::Single(_) => None,
-            Queue::Sharded { q, .. } => Some(q.stats()),
-        }
-    }
-
-    /// Turns on the sharded queue's wall-clock self-profiling (see
-    /// [`amac_sim::ShardProfile`]). No-op in sequential mode; off by
-    /// default so deterministic runs pay nothing for it.
-    pub fn enable_shard_profiling(&mut self) {
-        if let Queue::Sharded { q, .. } = &mut self.queue {
-            q.enable_profiling();
-        }
-    }
-
-    /// The sharded queue's wall-clock self-profile — a nondeterministic
-    /// side channel, `None` unless
-    /// [`enable_shard_profiling`](Runtime::enable_shard_profiling) was
-    /// called on a sharded runtime.
-    pub fn shard_profile(&self) -> Option<amac_sim::ShardProfile> {
-        match &self.queue {
-            Queue::Single(_) => None,
-            Queue::Sharded { q, .. } => q.profile(),
-        }
-    }
-
     /// Arms a [`FaultPlan`]: each scheduled crash/recovery is applied at
     /// its time, emitted to the observers' fault channel, and enforced by
     /// the runtime (a crashed node neither broadcasts, acknowledges,
@@ -519,7 +333,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 e.node,
                 self.dual.len()
             );
-            self.queue.schedule(e.at, e.node, Ev::Fault(e.node, e.kind));
+            self.queue.schedule(e.at, Ev::Fault(e.node, e.kind));
         }
         self
     }
@@ -587,7 +401,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     /// `arrive` events, or mid-run for online arrivals).
     pub fn inject(&mut self, node: NodeId, input: A::Env) {
         let now = self.queue.now();
-        self.queue.schedule(now, node, Ev::Env(node, input));
+        self.queue.schedule(now, Ev::Env(node, input));
     }
 
     /// Schedules an environment input at an absolute future time.
@@ -596,7 +410,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     ///
     /// Panics if `at` is in the past.
     pub fn inject_at(&mut self, at: Time, node: NodeId, input: A::Env) {
-        self.queue.schedule(at, node, Ev::Env(node, input));
+        self.queue.schedule(at, Ev::Env(node, input));
     }
 
     /// Processes a single event. Returns `false` when no events remain.
@@ -730,9 +544,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 Command::Bcast(msg) => self.start_instance(node, msg),
                 Command::Abort => self.abort_in_flight(node),
                 Command::SetTimer { id, delay, tag } => {
-                    let ev = self
-                        .queue
-                        .schedule_after(delay, node, Ev::Timer(node, tag, id.0));
+                    let ev = self.queue.schedule_after(delay, Ev::Timer(node, tag, id.0));
                     self.timers.insert(id.0, ev);
                 }
                 Command::CancelTimer(id) => {
@@ -830,13 +642,11 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             if self.crashed[j.index()] {
                 continue; // a crashed receiver gets nothing
             }
-            let ev = self.queue.schedule(now + d, j, Ev::Deliver(id, sender, j));
+            let ev = self.queue.schedule(now + d, Ev::Deliver(id, sender, j));
             slot.pending.push((j, ev));
         }
         self.delay_scratch = delays;
-        let ack_event = self
-            .queue
-            .schedule(now + ack_delay, sender, Ev::AckDue(id, sender));
+        let ack_event = self.queue.schedule(now + ack_delay, Ev::AckDue(id, sender));
         slot.id = Some(id);
         slot.msg = Some(Arc::new(msg));
         slot.key = key;
@@ -885,7 +695,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         }
         if let Some(d) = self.deadline(j) {
             let at = d.max(self.queue.now());
-            self.queue.schedule(at, j, Ev::ProgressCheck(j));
+            self.queue.schedule(at, Ev::ProgressCheck(j));
             self.check_scheduled[j.index()] = true;
         }
     }
@@ -1528,137 +1338,6 @@ mod tests {
             "no delivery during the outage, got one at {first_rcv}"
         );
         assert_eq!(rt.counters().get("recover"), 1);
-    }
-
-    #[test]
-    fn sharded_flood_trace_is_identical_to_sequential() {
-        let dual = line_dual(20);
-        let cfg = MacConfig::from_ticks(3, 24);
-        let mut seq = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new()).tracing();
-        seq.run();
-        let seq_trace = seq.into_trace().unwrap();
-        for k in [1usize, 2, 4, 7, 25] {
-            let mut sh = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new())
-                .with_shards(k)
-                .tracing();
-            sh.run();
-            assert!(sh.shard_stats().is_some());
-            let sh_trace = sh.into_trace().unwrap();
-            assert_eq!(
-                seq_trace.entries(),
-                sh_trace.entries(),
-                "trace diverged at k = {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_flood_trace_is_identical_to_sequential() {
-        let dual = line_dual(20);
-        let cfg = MacConfig::from_ticks(3, 24);
-        let mut seq = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new()).tracing();
-        seq.run();
-        let seq_trace = seq.into_trace().unwrap();
-        for k in [1usize, 2, 4] {
-            for t in [1usize, 2, 4] {
-                let mut sh = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new())
-                    .with_shards(k)
-                    .with_shard_threads(t)
-                    .tracing();
-                sh.run();
-                assert_eq!(sh.shard_threads(), t.clamp(1, k));
-                let sh_trace = sh.into_trace().unwrap();
-                assert_eq!(
-                    seq_trace.entries(),
-                    sh_trace.entries(),
-                    "trace diverged at k = {k}, t = {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_run_with_faults_matches_sequential() {
-        let dual = line_dual(12);
-        let cfg = MacConfig::from_ticks(3, 24);
-        let plan = FaultPlan::new()
-            .crash_at(NodeId::new(5), Time::from_ticks(4))
-            .recover_at(NodeId::new(5), Time::from_ticks(30));
-        let mut seq = Runtime::new(
-            dual.clone(),
-            cfg,
-            flooders(12),
-            crate::policies::LazyPolicy::new(),
-        )
-        .tracing()
-        .with_faults(plan.clone());
-        seq.run();
-        let seq_trace = seq.into_trace().unwrap();
-        let mut sh = Runtime::new(
-            dual.clone(),
-            cfg,
-            flooders(12),
-            crate::policies::LazyPolicy::new(),
-        )
-        .with_shards(4)
-        .with_shard_threads(2)
-        .tracing()
-        .with_faults(plan);
-        sh.run();
-        let sh_trace = sh.into_trace().unwrap();
-        assert_eq!(seq_trace.entries(), sh_trace.entries());
-        assert_eq!(seq_trace.faults(), sh_trace.faults());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires with_shards")]
-    fn shard_threads_without_shards_panics() {
-        let dual = line_dual(4);
-        let cfg = MacConfig::from_ticks(2, 16);
-        let _ = Runtime::new(dual, cfg, flooders(4), EagerPolicy::new()).with_shard_threads(2);
-    }
-
-    #[test]
-    fn sharded_run_with_faults_matches_sequential() {
-        let dual = line_dual(12);
-        let cfg = MacConfig::from_ticks(3, 24);
-        let plan = FaultPlan::new()
-            .crash_at(NodeId::new(5), Time::from_ticks(4))
-            .recover_at(NodeId::new(5), Time::from_ticks(30));
-        let mut seq = Runtime::new(
-            dual.clone(),
-            cfg,
-            flooders(12),
-            crate::policies::LazyPolicy::new(),
-        )
-        .tracing()
-        .with_faults(plan.clone());
-        seq.run();
-        let seq_trace = seq.into_trace().unwrap();
-        let mut sh = Runtime::new(
-            dual.clone(),
-            cfg,
-            flooders(12),
-            crate::policies::LazyPolicy::new(),
-        )
-        .with_shards(4)
-        .tracing()
-        .with_faults(plan);
-        sh.run();
-        let sh_trace = sh.into_trace().unwrap();
-        assert_eq!(seq_trace.entries(), sh_trace.entries());
-        assert_eq!(seq_trace.faults(), sh_trace.faults());
-    }
-
-    #[test]
-    #[should_panic(expected = "before with_faults")]
-    fn with_shards_after_faults_panics() {
-        let dual = line_dual(4);
-        let cfg = MacConfig::from_ticks(2, 16);
-        let plan = FaultPlan::new().crash_at(NodeId::new(1), Time::from_ticks(1));
-        let _ = Runtime::new(dual, cfg, flooders(4), EagerPolicy::new())
-            .with_faults(plan)
-            .with_shards(2);
     }
 
     #[test]

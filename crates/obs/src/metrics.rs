@@ -18,10 +18,7 @@
 //!   instance; `Ack`/`Abort` close it; a sender crash silences it.
 //!
 //! Everything above is a pure function of the deterministic event stream,
-//! so the rendered JSON payload is byte-identical across `--jobs` and
-//! `--shards`. Wall-clock shard profiling rides in a separate, clearly
-//! labelled `"nondeterministic"` member that [`deterministic_payload`]
-//! strips.
+//! so the rendered JSON document is byte-identical across `--jobs`.
 
 use crate::hist::Histogram;
 use crate::json::escape;
@@ -29,7 +26,7 @@ use crate::series::TimeSeries;
 use amac_graph::NodeId;
 use amac_mac::trace::{TraceEntry, TraceKind};
 use amac_mac::{FaultKind, InstanceId, MacConfig, Observer};
-use amac_sim::{ShardProfile, ShardStats, Time};
+use amac_sim::Time;
 
 /// Points kept in the in-flight depth series.
 const SERIES_POINTS: usize = 128;
@@ -145,9 +142,7 @@ impl MetricsObserver {
         self.depth.record(ticks, self.in_flight);
     }
 
-    /// Consumes the observer, producing the final [`MetricsReport`] (with
-    /// no nondeterministic side channel attached; harnesses add one via
-    /// [`MetricsReport::with_shard_diagnostics`]).
+    /// Consumes the observer, producing the final [`MetricsReport`].
     pub fn into_report(self) -> MetricsReport {
         let mut events = [0u64; 4];
         for c in &self.per_node {
@@ -171,8 +166,6 @@ impl MetricsObserver {
             progress_slack: self.slack,
             per_node: self.per_node,
             in_flight: self.depth,
-            shard_stats: None,
-            profile: None,
         }
     }
 }
@@ -278,28 +271,9 @@ pub struct MetricsReport {
     pub per_node: Vec<NodeCounters>,
     /// In-flight instance depth over simulated time.
     pub in_flight: TimeSeries,
-    /// Sharded-queue synchronization stats (varies with `--shards`;
-    /// rendered inside the `"nondeterministic"` member).
-    pub shard_stats: Option<ShardStats>,
-    /// Wall-clock shard self-profile (nondeterministic side channel).
-    pub profile: Option<ShardProfile>,
 }
 
 impl MetricsReport {
-    /// Attaches the sharded runtime's diagnostics: deterministic-but-
-    /// shard-count-dependent [`ShardStats`] and the wall-clock
-    /// [`ShardProfile`]. Both render under the `"nondeterministic"` JSON
-    /// member so the deterministic payload stays byte-comparable.
-    pub fn with_shard_diagnostics(
-        mut self,
-        stats: Option<ShardStats>,
-        profile: Option<ShardProfile>,
-    ) -> MetricsReport {
-        self.shard_stats = stats;
-        self.profile = profile;
-        self
-    }
-
     /// Total MAC-level events.
     pub fn events_total(&self) -> u64 {
         self.bcasts + self.rcvs + self.acks + self.aborts
@@ -351,73 +325,8 @@ impl MetricsReport {
         out
     }
 
-    fn nondeterministic_json(&self) -> Option<String> {
-        if self.shard_stats.is_none() && self.profile.is_none() {
-            return None;
-        }
-        let mut members = Vec::new();
-        if let Some(s) = &self.shard_stats {
-            let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-            let peaks = s
-                .peak_pending
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            members.push(format!(
-                "\"shard_stats\":{{\"shards\":{},\"window_ticks\":{},\"barriers\":{},\
-                 \"outboxed\":{},\"lookahead_misses\":{},\"peak_pending\":[{peaks}],\
-                 \"barrier_slack_ticks\":[{}]}}",
-                s.shards,
-                s.window_ticks,
-                s.barriers,
-                s.outboxed,
-                s.lookahead_misses,
-                list(&s.barrier_slack_ticks),
-            ));
-        }
-        if let Some(p) = &self.profile {
-            let busy = p
-                .busy_nanos
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let samples = p
-                .samples
-                .iter()
-                .map(|s| {
-                    format!(
-                        "[{},{},{},{}]",
-                        s.at_ticks, s.barriers, s.pending, s.outboxed
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let workers = p
-                .workers
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"busy_nanos\":{},\"barrier_wait_nanos\":{},\"idle_nanos\":{}}}",
-                        w.busy_nanos, w.barrier_wait_nanos, w.idle_nanos
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            members.push(format!(
-                "\"profile\":{{\"drain_nanos\":{},\"barrier_nanos\":{},\"merge_nanos\":{},\
-                 \"busy_nanos\":[{busy}],\"workers\":[{workers}],\"samples\":[{samples}]}}",
-                p.drain_nanos, p.barrier_nanos, p.merge_nanos,
-            ));
-        }
-        Some(format!("{{\"wall_clock\":true,{}}}", members.join(",")))
-    }
-
-    /// Renders the full metrics document. Every member except the final
-    /// optional `"nondeterministic"` one is a pure function of the
-    /// deterministic event stream; [`deterministic_payload`] strips that
-    /// member for byte-comparison across shard counts and machines.
+    /// Renders the full metrics document, a pure function of the
+    /// deterministic event stream.
     pub fn to_json(&self, experiment: &str) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
@@ -444,27 +353,8 @@ impl MetricsReport {
         ));
         out.push_str(&format!("  \"per_node\": {},\n", self.per_node_json()));
         out.push_str(&format!("  \"in_flight\": {}", self.in_flight.to_json()));
-        if let Some(nondet) = self.nondeterministic_json() {
-            out.push_str(&format!(",\n  {NONDET_KEY}: {nondet}"));
-        }
         out.push_str("\n}\n");
         out
-    }
-}
-
-/// The JSON key of the nondeterministic member, quoted as it appears in
-/// the document.
-const NONDET_KEY: &str = "\"nondeterministic\"";
-
-/// Strips the optional trailing `"nondeterministic"` member from a
-/// metrics JSON document, returning the byte-comparable deterministic
-/// payload. Identity for documents without the member. The member is
-/// always rendered last by [`MetricsReport::to_json`], so a simple
-/// truncation is exact.
-pub fn deterministic_payload(json: &str) -> String {
-    match json.find(&format!(",\n  {NONDET_KEY}: ")) {
-        Some(idx) => format!("{}\n}}\n", &json[..idx]),
-        None => json.to_owned(),
     }
 }
 
@@ -528,54 +418,18 @@ mod tests {
     }
 
     #[test]
-    fn json_separates_deterministic_and_nondeterministic() {
+    fn json_ends_with_the_in_flight_series() {
         let report = observe(&[
             entry(TraceKind::Bcast, 0, 0, 0),
             entry(TraceKind::Rcv, 1, 0, 1),
             entry(TraceKind::Ack, 1, 0, 0),
         ]);
-        let plain = report.clone().to_json("unit");
-        assert!(!plain.contains("nondeterministic"));
-        assert_eq!(
-            deterministic_payload(&plain),
-            plain,
-            "identity without member"
-        );
-
-        let sharded = report
-            .with_shard_diagnostics(
-                Some(ShardStats {
-                    shards: 2,
-                    window_ticks: 2,
-                    barriers: 1,
-                    outboxed: 3,
-                    lookahead_misses: 0,
-                    peak_pending: vec![4, 5],
-                    barrier_slack_ticks: vec![1, 0],
-                }),
-                Some(ShardProfile {
-                    drain_nanos: 123,
-                    barrier_nanos: 45,
-                    merge_nanos: 6,
-                    busy_nanos: vec![100, 23],
-                    workers: vec![amac_sim::WorkerLane {
-                        busy_nanos: 90,
-                        barrier_wait_nanos: 7,
-                        idle_nanos: 3,
-                    }],
-                    samples: Vec::new(),
-                }),
-            )
-            .to_json("unit");
-        assert!(sharded.contains("\"nondeterministic\""));
-        assert!(sharded.contains("\"wall_clock\":true"));
-        assert!(sharded.contains("\"drain_nanos\":123"));
-        assert!(sharded.contains("\"barrier_wait_nanos\":7"));
-        assert_eq!(
-            deterministic_payload(&sharded),
-            plain,
-            "stripping the member recovers the deterministic payload"
-        );
+        let json = report.to_json("unit");
+        assert!(json.starts_with("{\n  \"schema\": \"amac-metrics-v1\",\n"));
+        let last = json.rfind("\n  \"").expect("members are indented");
+        assert!(json[last..].starts_with("\n  \"in_flight\": "));
+        assert!(json.ends_with("]}\n}\n"), "{json}");
+        assert_eq!(json, report.to_json("unit"), "rendering is repeatable");
     }
 
     #[test]
@@ -586,10 +440,7 @@ mod tests {
             m.on_event(&entry(TraceKind::Rcv, i + 1, i, ((i + 1) % 5) as usize));
             m.on_event(&entry(TraceKind::Ack, i + 2, i, (i % 5) as usize));
         }
-        let json = m
-            .into_report()
-            .with_shard_diagnostics(Some(ShardStats::default()), None)
-            .to_json("balance \"quoted\" id");
+        let json = m.into_report().to_json("balance \"quoted\" id");
         let depth_ok = |open: char, close: char| {
             let opens = json.matches(open).count();
             let closes = json.matches(close).count();

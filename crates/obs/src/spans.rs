@@ -6,13 +6,8 @@
 //! [Chrome trace-event JSON] that Perfetto and `chrome://tracing` load
 //! directly. Simulated ticks are mapped 1:1 onto trace microseconds.
 //!
-//! Tracks (`tid`) are shard indices when a shard map is supplied
-//! ([`SpanObserver::with_tracks`], built from the same contiguous
-//! partition the sharded runtime uses), so a sharded run renders as one
-//! lane per shard; without a map everything lands on track 0. The `tid`
-//! is the **only** field that varies with `--shards` — the bench
-//! determinism suite byte-compares exports across the jobs × shards grid
-//! modulo that field.
+//! Every event lands on track 0 (`"tid":0`): an execution is one totally
+//! ordered timeline.
 //!
 //! [Chrome trace-event JSON]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -73,31 +68,14 @@ struct Span {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpanObserver {
-    /// Node index → track id (shard), when sharding is in play.
-    tracks: Option<Vec<u32>>,
     spans: Vec<Option<Span>>,
     end_ticks: u64,
 }
 
 impl SpanObserver {
-    /// Creates an observer with every span on track 0.
+    /// Creates an empty observer.
     pub fn new() -> SpanObserver {
         SpanObserver::default()
-    }
-
-    /// Assigns each node a track (Perfetto lane): `tracks[node]` is the
-    /// node's shard index. Spans take the sender's track, delivery
-    /// instants the receiver's.
-    pub fn with_tracks(mut self, tracks: Vec<u32>) -> SpanObserver {
-        self.tracks = Some(tracks);
-        self
-    }
-
-    fn track_of(&self, node: u32) -> u32 {
-        self.tracks
-            .as_ref()
-            .and_then(|t| t.get(node as usize).copied())
-            .unwrap_or(0)
     }
 
     fn span_mut(&mut self, index: usize) -> &mut Option<Span> {
@@ -129,11 +107,10 @@ impl SpanObserver {
             let name = escape(&format!("i{index} k{}", span.key));
             events.push(format!(
                 "{{\"name\":\"{name}\",\"cat\":\"mac\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":{},\"args\":{{\"instance\":{index},\"sender\":{},\
+                 \"pid\":0,\"tid\":0,\"args\":{{\"instance\":{index},\"sender\":{},\
                  \"key\":{},\"rcvs\":{},\"outcome\":\"{}\"}}}}",
                 span.start,
                 end - span.start,
-                self.track_of(span.sender),
                 span.sender,
                 span.key,
                 span.rcvs.len(),
@@ -142,9 +119,8 @@ impl SpanObserver {
             for &(tick, node) in &span.rcvs {
                 events.push(format!(
                     "{{\"name\":\"rcv i{index}\",\"cat\":\"mac\",\"ph\":\"i\",\"ts\":{tick},\
-                     \"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{\"instance\":{index},\
+                     \"pid\":0,\"tid\":0,\"s\":\"t\",\"args\":{{\"instance\":{index},\
                      \"node\":{node}}}}}",
-                    self.track_of(node),
                 ));
             }
         }
@@ -241,6 +217,11 @@ mod tests {
         assert!(json.contains("\"outcome\":\"ack\""));
         assert!(json.contains("\"outcome\":\"open\""), "i1 never terminated");
         assert!(json.contains("\"ph\":\"i\""), "delivery instant present");
+        assert_eq!(
+            json.matches("\"tid\":0").count(),
+            3,
+            "two spans and one delivery instant, all on track 0"
+        );
         // Valid-enough JSON: brackets and braces balance.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -254,15 +235,6 @@ mod tests {
         let json = spans.to_chrome_json();
         assert!(json.contains("\"outcome\":\"crash\""));
         assert!(json.contains("\"dur\":5"));
-    }
-
-    #[test]
-    fn tracks_route_spans_to_shard_lanes() {
-        let mut spans = SpanObserver::new().with_tracks(vec![0, 1]);
-        feed(&mut spans);
-        let json = spans.to_chrome_json();
-        assert!(json.contains("\"tid\":1"), "sender 1 rides its shard lane");
-        assert!(json.contains("\"tid\":0"));
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //!   timestamps, so zero-delay step chains have a well-defined,
 //!   reproducible order, plus O(1) cancellation (needed for the enhanced
 //!   MAC layer's `abort`);
-//! * [`ShardedEventQueue`] — the same total order over K per-shard queues
-//!   with a shared sequence counter and conservative time-windowed
-//!   cross-shard outboxes: the substrate of the sharded MAC runtime,
-//!   byte-identical to [`EventQueue`] by construction for every K;
 //! * [`SimRng`] — a splittable deterministic PRNG so each node and each
 //!   scheduler gets its own replayable random stream, mirroring the paper's
 //!   "random bits handed out at the start" convention;
@@ -49,9 +45,6 @@ pub mod stats;
 mod time;
 
 pub use hash::{fnv1a64, FastHashMap, FastHashSet, FastHasher, Fnv1a};
-pub use queue::{
-    EventId, EventQueue, ShardProfile, ShardSample, ShardStats, ShardedEventQueue, WindowTuning,
-    WorkerLane, MAX_SHARDS, RING_TICKS,
-};
+pub use queue::{EventId, EventQueue, RING_TICKS};
 pub use rng::SimRng;
 pub use time::{Duration, Time};

@@ -17,8 +17,8 @@
 //!   model-conformance validator ([`amac_mac`]);
 //! * [`store`] — durable trace store: versioned on-disk event format and
 //!   deterministic replay ([`amac_store`]);
-//! * [`obs`] — deterministic observability: sim-time metric histograms,
-//!   Chrome-trace span timelines, shard self-profiling ([`amac_obs`]);
+//! * [`obs`] — deterministic observability: sim-time metric histograms
+//!   and Chrome-trace span timelines ([`amac_obs`]);
 //! * [`core`] — the MMB problem, BMMB, FMMB, and bound formulas
 //!   ([`amac_core`]);
 //! * [`lower`] — executable lower bounds ([`amac_lower`]);
@@ -66,8 +66,8 @@ pub use amac_mac as mac;
 /// deterministic replay (re-export of [`amac_store`]).
 pub use amac_store as store;
 
-/// Deterministic observability: sim-time metric histograms, span
-/// timelines, shard self-profiling (re-export of [`amac_obs`]).
+/// Deterministic observability: sim-time metric histograms and span
+/// timelines (re-export of [`amac_obs`]).
 pub use amac_obs as obs;
 
 /// MMB problem and algorithms: BMMB, FMMB, bounds (re-export of

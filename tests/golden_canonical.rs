@@ -17,12 +17,6 @@
 //! `crates/mac/tests/choice_equivalence.rs`; this test extends the
 //! coverage to every shipped experiment's full pipeline.)
 //!
-//! Each digest is pinned once but checked twice: on the sequential
-//! runtime and on the sharded event queue (`--shards 4`), so the pins
-//! also certify that sharded execution replays the identical canonical
-//! transcript (see `tests/shard_equivalence.rs` for the property-based
-//! version of that claim).
-//!
 //! If a digest changes because the *model* legitimately changed (new
 //! event kinds, different canonical parameterisation), regenerate the
 //! table by printing `fnv1a64` of each recorded file — see
@@ -46,25 +40,22 @@ const GOLDEN: &[(&str, u64)] = &[
     ("scale", 0x9c713f2815af648f),
 ];
 
-/// Records every registry experiment with `shards` event-queue shards
-/// (drained on `threads` scoped workers when non-zero) and checks each
-/// digest against the pinned table. The sharded and threaded runtimes
-/// must reproduce the **same** digests — the canonical transcripts are a
-/// function of the seed alone, never of the shard or thread count.
-fn check_registry(tag: &str, shards: usize, threads: usize) {
-    let dir = std::env::temp_dir().join(format!("amac-golden-canonical-{tag}"));
+/// Records every registry experiment and checks each digest against the
+/// pinned table.
+#[test]
+fn canonical_recordings_are_byte_stable() {
+    let dir = std::env::temp_dir().join("amac-golden-canonical");
     std::fs::create_dir_all(&dir).unwrap();
     let mut drifted = Vec::new();
     let mut unpinned = Vec::new();
     for spec in amac::bench::experiments::registry() {
-        let recorded = spec.record(&dir, true, shards, threads);
+        let recorded = spec.record(&dir, true);
         let bytes = std::fs::read(&recorded.path).unwrap();
         let digest = fnv1a64(&bytes);
         match GOLDEN.iter().find(|(id, _)| *id == spec.id) {
             Some((_, want)) if digest == *want => {}
             Some((_, want)) => drifted.push(format!(
-                "{}: expected 0x{want:016x}, recorded 0x{digest:016x} \
-                 (shards={shards}, threads={threads})",
+                "{}: expected 0x{want:016x}, recorded 0x{digest:016x}",
                 spec.id
             )),
             None => unpinned.push(format!("{}: 0x{digest:016x}", spec.id)),
@@ -81,11 +72,6 @@ fn check_registry(tag: &str, shards: usize, threads: usize) {
         "new experiments need golden digests:\n{}",
         unpinned.join("\n")
     );
-}
-
-#[test]
-fn canonical_recordings_are_byte_stable() {
-    check_registry("seq", 0, 0);
     // Every pinned id must still exist in the registry.
     for (id, _) in GOLDEN {
         assert!(
@@ -93,24 +79,4 @@ fn canonical_recordings_are_byte_stable() {
             "golden entry {id} no longer in the registry"
         );
     }
-}
-
-/// The sharded event queue (`--shards 4`) must hit the *same* pinned
-/// digests: byte-identity of the canonical transcripts across engines is
-/// part of the golden contract, not a separate weaker claim.
-#[test]
-fn canonical_recordings_are_byte_stable_under_four_shards() {
-    check_registry("sh4", 4, 0);
-}
-
-/// The thread-per-shard drain must hit the same pinned digests across
-/// the full worker grid: T ∈ {1, 2, 4} over K = 4 shards, plus the
-/// degenerate K = 1 single-shard case. Threads change wall-clock
-/// interleavings only — never a recorded byte.
-#[test]
-fn canonical_recordings_are_byte_stable_under_threaded_shards() {
-    for threads in [1usize, 2, 4] {
-        check_registry(&format!("sh4t{threads}"), 4, threads);
-    }
-    check_registry("sh1t2", 1, 2);
 }

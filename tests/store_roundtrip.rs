@@ -236,7 +236,7 @@ fn hostile_node_counts_are_rejected() {
 fn recorded_and_replayed_summaries_render_identically() {
     let dir = std::env::temp_dir().join("amac-store-roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
-    let opts = amac::bench::CanonicalOpts::recording(&dir, true, 0, 0);
+    let opts = amac::bench::CanonicalOpts::recording(&dir, true);
     let recorded = amac::bench::record::consensus_crash(&opts)
         .trace
         .expect("recording was requested");
