@@ -455,7 +455,8 @@ fn write_named_json(dir: &Path, docs: &[(String, String)]) {
 /// the live run's summary — the exact block a later `repro replay` must
 /// reproduce; metrics land as `METRICS_<id>.json` under the metrics
 /// directory; the chrome trace is written by the harness as the run
-/// finishes.
+/// finishes. Every output directory, the chrome trace's parent included,
+/// is created before the first run, so a bad path exits 1 up front.
 fn record_canonical(
     specs: &[&'static ExperimentSpec],
     smoke: bool,
@@ -468,7 +469,8 @@ fn record_canonical(
         eprintln!("--chrome-trace needs exactly one experiment (later runs would overwrite it)");
         usage_exit()
     }
-    for dir in [record_dir, metrics_dir].into_iter().flatten() {
+    let chrome_dir = chrome_trace.and_then(Path::parent);
+    for dir in [record_dir, metrics_dir, chrome_dir].into_iter().flatten() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);

@@ -134,7 +134,7 @@ impl CellCtx {
 }
 
 /// A captured execution bundle: the MAC-level trace of one run plus the
-/// post-hoc validator verdict on it.
+/// streaming validator's verdict on it.
 #[derive(Clone, Debug)]
 pub struct CellCapture {
     /// The recorded MAC-level event trace.
@@ -344,11 +344,6 @@ impl TrialRunner {
     /// One trial, inline — the historical single-measurement behaviour.
     pub fn single() -> TrialRunner {
         TrialRunner::new(1, 1)
-    }
-
-    /// `trials` trials over one worker per available core.
-    pub fn with_default_jobs(trials: usize) -> TrialRunner {
-        TrialRunner::new(trials, default_jobs())
     }
 
     /// Enables adaptive trial counts: a sweep point stops recruiting trials
@@ -640,57 +635,6 @@ impl TrialRunner {
             .collect()
     }
 
-    /// Runs `measure` once per trial and folds each position of the
-    /// returned vector into its own [`Aggregate`] (all trials must return
-    /// vectors of the same length). This is the fixed-count whole-sweep
-    /// entry point kept for workloads where one closure must observe the
-    /// entire sweep; it ignores the adaptive and capture settings — new
-    /// experiments should prefer [`run_sweep`](Self::run_sweep), which
-    /// parallelizes within a trial and supports both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if trials disagree on the vector length, or if a worker
-    /// thread panics.
-    pub fn run_matrix<F>(&self, base_seed: u64, measure: F) -> Vec<Aggregate>
-    where
-        F: Fn(&TrialCtx) -> Vec<f64> + Sync,
-    {
-        let base = SimRng::seed(base_seed);
-        let ctx_for = |i: usize| TrialCtx {
-            index: i as u64,
-            rng: base.split(i as u64),
-        };
-        let per_trial: Vec<Vec<f64>> = self.parallel_map(self.trials, |i| measure(&ctx_for(i)));
-
-        let width = per_trial.first().map_or(0, Vec::len);
-        let mut aggregates = vec![Aggregate::new(); width];
-        // Fold in trial-index order: this is what makes the aggregates
-        // independent of worker scheduling.
-        for (i, row) in per_trial.iter().enumerate() {
-            assert_eq!(
-                row.len(),
-                width,
-                "trial {i} measured {} values, trial 0 measured {width}",
-                row.len()
-            );
-            for (aggregate, &x) in aggregates.iter_mut().zip(row) {
-                aggregate.record(x);
-            }
-        }
-        aggregates
-    }
-
-    /// Runs `measure` once per trial for a single scalar measurement.
-    pub fn run_point<F>(&self, base_seed: u64, measure: F) -> Aggregate
-    where
-        F: Fn(&TrialCtx) -> f64 + Sync,
-    {
-        self.run_matrix(base_seed, |ctx| vec![measure(ctx)])
-            .pop()
-            .expect("run_matrix returned one aggregate per position")
-    }
-
     /// Evaluates `task(i)` for `i in 0..n` over the worker pool and returns
     /// the results in index order. Work-steals via an atomic counter;
     /// determinism comes from writing each result into its index slot.
@@ -844,44 +788,6 @@ impl TrialStats {
 mod tests {
     use super::*;
 
-    fn noisy_measure(ctx: &TrialCtx) -> Vec<f64> {
-        let mut rng = ctx.rng.clone();
-        (0..3)
-            .map(|p| (p * 1000) as f64 + rng.below(100) as f64)
-            .collect()
-    }
-
-    #[test]
-    fn aggregates_are_identical_across_job_counts() {
-        let reference = TrialRunner::new(16, 1).run_matrix(7, noisy_measure);
-        for jobs in [2, 3, 8, 32] {
-            let parallel = TrialRunner::new(16, jobs).run_matrix(7, noisy_measure);
-            assert_eq!(reference, parallel, "jobs={jobs} must not change results");
-        }
-    }
-
-    #[test]
-    fn trials_actually_vary_with_the_split_stream() {
-        let aggs = TrialRunner::new(16, 4).run_matrix(7, noisy_measure);
-        assert_eq!(aggs.len(), 3);
-        for agg in &aggs {
-            assert_eq!(agg.count(), 16);
-            assert!(
-                agg.ci95_half_width() > 0.0,
-                "independent trials should spread: {agg}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_point_aggregates_scalars() {
-        let agg = TrialRunner::new(5, 2).run_point(1, |ctx| ctx.index as f64);
-        assert_eq!(agg.count(), 5);
-        assert_eq!(agg.mean(), 2.0);
-        assert_eq!(agg.min(), Some(0.0));
-        assert_eq!(agg.max(), Some(4.0));
-    }
-
     #[test]
     fn trial_zero_seed_is_the_base_seed() {
         let base = SimRng::seed(9);
@@ -898,12 +804,6 @@ mod tests {
         assert_ne!(seeds[1], seeds[0]);
         assert_ne!(seeds[2], seeds[1]);
         assert_ne!(seeds[2], seeds[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "trial 0 measured")]
-    fn ragged_trial_vectors_panic() {
-        TrialRunner::new(3, 1).run_matrix(0, |ctx| vec![0.0; 1 + ctx.index as usize]);
     }
 
     #[test]
@@ -1115,6 +1015,12 @@ mod tests {
         assert_eq!(by_role[0], (OutlierRole::Min, 0, 0.0));
         assert_eq!(by_role[1], (OutlierRole::Median, 2, 20.0));
         assert_eq!(by_role[2], (OutlierRole::Max, 4, 40.0));
+        // The aggregate folds every trial's value, not just the outliers.
+        let primary = run.point(0).primary();
+        assert_eq!(primary.count(), 5);
+        assert_eq!(primary.mean(), 20.0);
+        assert_eq!(primary.min(), Some(0.0));
+        assert_eq!(primary.max(), Some(40.0));
     }
 
     #[test]

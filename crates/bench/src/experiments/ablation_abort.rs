@@ -115,7 +115,7 @@ pub fn run(
                 &super::cell_options(cell.capture_requested()).stopping_on_completion(),
             );
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::fmmb_capture(&report))
+                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| {
@@ -184,18 +184,13 @@ pub fn run_default_with(runner: &TrialRunner) -> AblationAbort {
     run(2, &[8, 32, 128, 512], 32, 2.0, 3, 6, runner)
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> AblationAbort {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> AblationAbort {
     run(2, &[8, 32], 12, 2.0, 2, 6, runner)
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> AblationAbort {
     run_smoke_with(&TrialRunner::single())
 }

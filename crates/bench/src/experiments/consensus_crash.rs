@@ -133,13 +133,7 @@ pub fn run(
             let ticks = super::ticks_or_end(report.completion, report.end_time) as f64;
             let violations = report.violation_count() as f64;
             let broadcasts = report.counters.get("bcast") as f64;
-            let capture = report
-                .trace
-                .clone()
-                .map(|trace| crate::engine::CellCapture {
-                    trace,
-                    validation: report.validation.clone(),
-                });
+            let capture = super::capture(report.trace, report.validation);
             CellResult::vector(vec![ticks, violations, broadcasts]).with_capture(capture)
         },
     );
@@ -246,11 +240,6 @@ pub fn run_default_with(runner: &TrialRunner) -> ConsensusCrash {
         13,
         runner,
     )
-}
-
-/// Default parameterisation (single trial).
-pub fn run_default() -> ConsensusCrash {
-    run_default_with(&TrialRunner::single())
 }
 
 /// Smoke parameterisation at an explicit trial/job count.

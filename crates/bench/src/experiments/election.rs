@@ -121,13 +121,7 @@ pub fn run(
                 .map(amac_sim::Time::ticks)
                 .unwrap_or(report.end_time.ticks()) as f64;
             let violations = report.violation_count() as f64;
-            let capture = report
-                .trace
-                .clone()
-                .map(|trace| crate::engine::CellCapture {
-                    trace,
-                    validation: report.validation.clone(),
-                });
+            let capture = super::capture(report.trace, report.validation);
             CellResult::vector(vec![
                 convergence,
                 report.claimants.len() as f64,
@@ -201,11 +195,6 @@ pub fn run(
 /// Default parameterisation at an explicit trial/job count.
 pub fn run_default_with(runner: &TrialRunner) -> Election {
     run(2, 16, 64, &[16, 32, 64, 96], 2.0, 17, runner)
-}
-
-/// Default parameterisation (single trial).
-pub fn run_default() -> Election {
-    run_default_with(&TrialRunner::single())
 }
 
 /// Smoke parameterisation at an explicit trial/job count.

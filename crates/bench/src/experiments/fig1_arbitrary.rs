@@ -117,7 +117,7 @@ pub fn run(
                 &super::cell_options(cell.capture_requested()),
             );
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::mmb_capture(&report))
+                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| {
@@ -269,11 +269,6 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1Arbitrary {
     )
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> Fig1Arbitrary {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Arbitrary {
     run(
@@ -288,7 +283,7 @@ pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Arbitrary {
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> Fig1Arbitrary {
     run_smoke_with(&TrialRunner::single())
 }

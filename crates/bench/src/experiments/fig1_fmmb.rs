@@ -155,7 +155,7 @@ pub fn run(
                         &options,
                     );
                     CellResult::scalar(bmmb.completion_ticks() as f64)
-                        .with_capture(super::mmb_capture(&bmmb))
+                        .with_capture(super::capture(bmmb.trace, bmmb.validation))
                 } else {
                     let fmmb = run_fmmb(
                         &setup.cross_net.dual,
@@ -171,7 +171,7 @@ pub fn run(
                     // record the schedule-end time instead of panicking —
                     // a lower bound on the true completion time.
                     CellResult::scalar(super::ticks_or_end(fmmb.completion, fmmb.end_time) as f64)
-                        .with_capture(super::fmmb_capture(&fmmb))
+                        .with_capture(super::capture(fmmb.trace, fmmb.validation))
                 }
             } else {
                 // Size sweep (fixed moderate F_ack; FMMB does not depend
@@ -193,7 +193,7 @@ pub fn run(
                     super::ticks_or_end(report.completion, report.end_time) as f64,
                     bounds::fmmb_enhanced(n, s.d, k, &cfg).ticks().max(1) as f64,
                 ])
-                .with_capture(super::fmmb_capture(&report))
+                .with_capture(super::capture(report.trace, report.validation))
             }
         },
     );
@@ -312,18 +312,13 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1Fmmb {
     )
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> Fig1Fmmb {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Fmmb {
     run(2, &[8, 32], 12, &[12, 16], 2.0, 2, 5, runner)
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> Fig1Fmmb {
     run_smoke_with(&TrialRunner::single())
 }

@@ -93,7 +93,7 @@ pub fn run(
             let (d, k) = point_params(cell.point);
             let report = measure(d, k, config, &super::cell_options(cell.capture_requested()));
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::mmb_capture(&report))
+                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| {
@@ -212,18 +212,13 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1Gg {
     )
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> Fig1Gg {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Gg {
     run(MacConfig::from_ticks(2, 32), &[4, 8], 2, &[1, 2], 6, runner)
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> Fig1Gg {
     run_smoke_with(&TrialRunner::single())
 }

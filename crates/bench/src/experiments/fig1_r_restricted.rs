@@ -88,7 +88,7 @@ pub fn run(
                 &super::cell_options(cell.capture_requested()),
             );
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::mmb_capture(&report))
+                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| format!("r={}", rs[i]);
@@ -167,18 +167,13 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1RRestricted {
     )
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> Fig1RRestricted {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1RRestricted {
     run(MacConfig::from_ticks(2, 32), 8, 2, &[1, 2], 0.5, 11, runner)
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> Fig1RRestricted {
     run_smoke_with(&TrialRunner::single())
 }

@@ -73,7 +73,7 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
                 run_dual_line(ds[cell.point - ks.len()], config, &options)
             };
             CellResult::scalar(report.completion_ticks as f64)
-                .with_capture(super::mmb_capture(&report.run))
+                .with_capture(super::capture(report.run.trace, report.run.validation))
         },
     );
     let label = |i: usize| {
@@ -174,18 +174,13 @@ pub fn run_default_with(runner: &TrialRunner) -> LowerBounds {
     )
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> LowerBounds {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> LowerBounds {
     run(MacConfig::from_ticks(2, 32), &[2, 4], &[2, 4], runner)
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> LowerBounds {
     run_smoke_with(&TrialRunner::single())
 }

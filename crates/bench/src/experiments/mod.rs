@@ -30,7 +30,9 @@ pub mod subroutines;
 use crate::engine::TrialStats;
 use crate::engine::{CellCapture, OutlierTrace, SweepRun, TrialRunner};
 use crate::table::Table;
-use amac_core::{FmmbReport, MmbReport, RunOptions};
+use amac_core::RunOptions;
+use amac_mac::trace::Trace;
+use amac_mac::ValidationReport;
 use amac_sim::stats::Aggregate;
 use amac_sim::Time;
 
@@ -55,20 +57,13 @@ pub(crate) fn cell_options(capture: bool) -> RunOptions {
     }
 }
 
-/// Bundles a BMMB report's kept trace (if any) for the engine.
-pub(crate) fn mmb_capture(report: &MmbReport) -> Option<CellCapture> {
-    report.trace.clone().map(|trace| CellCapture {
-        trace,
-        validation: report.validation.clone(),
-    })
-}
-
-/// Bundles an FMMB report's kept trace (if any) for the engine.
-pub(crate) fn fmmb_capture(report: &FmmbReport) -> Option<CellCapture> {
-    report.trace.clone().map(|trace| CellCapture {
-        trace,
-        validation: report.validation.clone(),
-    })
+/// Bundles a harness report's kept trace (if any) with its validation
+/// verdict for the engine.
+pub(crate) fn capture(
+    trace: Option<Trace>,
+    validation: Option<ValidationReport>,
+) -> Option<CellCapture> {
+    trace.map(|trace| CellCapture { trace, validation })
 }
 
 /// Flattens a sweep's captured outliers, labeling each with its point.

@@ -118,7 +118,7 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
             |_, cell| {
                 let (report, _) = measure(ns[cell.point], cell.capture_requested());
                 CellResult::scalar(report.completion_ticks() as f64)
-                    .with_capture(super::mmb_capture(&report))
+                    .with_capture(super::capture(report.trace, report.validation))
             },
         );
         super::collect_outliers(&run, |i| format!("n={}", ns[i]))

@@ -12,10 +12,12 @@
 use super::LabeledOutlier;
 use crate::engine::{CellCapture, CellResult, TrialRunner, TrialStats};
 use crate::table::{ci_cell, mean_cell, Table};
-use amac_core::{Assignment, Delivered, Fmmb, FmmbParams, MessageId, MisStatus};
+use amac_core::{
+    Assignment, Delivered, Fmmb, FmmbParams, Instruments, MessageId, MisStatus, RunOptions,
+};
 use amac_graph::generators::{connected_grey_zone_network, GreyZoneConfig, GreyZoneNetwork};
 use amac_graph::{algo, DualGraph, NodeId, NodeSet};
-use amac_mac::{validate, MacConfig, Policy, Runtime};
+use amac_mac::{MacConfig, Policy, RunOutcome, Runtime};
 use amac_sim::{SimRng, Time};
 use std::collections::HashSet;
 
@@ -41,12 +43,15 @@ pub struct Milestones {
 pub struct InstrumentedRun {
     /// The per-round milestones the sweeps measure.
     pub milestones: Milestones,
-    /// The MAC trace and validator verdict, when capture was requested.
+    /// The MAC trace and validator verdict, when `options` kept the trace.
     pub capture: Option<CellCapture>,
 }
 
-/// Runs FMMB while checking node-state milestones once per round
-/// (convenience wrapper without trace capture).
+/// Runs FMMB while checking node-state milestones once per round, until
+/// MMB completion or quiescence. `options` selects the observers (see
+/// [`Instruments`]); its horizon and stop rule do not apply. Observers do
+/// not disturb the execution, so the milestones are identical for any
+/// `options`.
 pub fn run_instrumented<P: Policy>(
     dual: &DualGraph,
     config: MacConfig,
@@ -54,22 +59,7 @@ pub fn run_instrumented<P: Policy>(
     params: &FmmbParams,
     seed: u64,
     policy: P,
-) -> Milestones {
-    run_instrumented_traced(dual, config, assignment, params, seed, policy, false).milestones
-}
-
-/// Runs FMMB while checking node-state milestones once per round; with
-/// `capture` set, also records the MAC trace and validates it post-hoc.
-/// Capture does not disturb the execution, so the milestones are
-/// identical either way.
-pub fn run_instrumented_traced<P: Policy>(
-    dual: &DualGraph,
-    config: MacConfig,
-    assignment: &Assignment,
-    params: &FmmbParams,
-    seed: u64,
-    policy: P,
-    capture: bool,
+    options: &RunOptions,
 ) -> InstrumentedRun {
     assert!(config.is_enhanced(), "FMMB requires the enhanced model");
     let n = dual.len();
@@ -86,9 +76,7 @@ pub fn run_instrumented_traced<P: Policy>(
         })
         .collect();
     let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    if capture {
-        rt = rt.tracing();
-    }
+    let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -105,7 +93,7 @@ pub fn run_instrumented_traced<P: Policy>(
     };
 
     let mut round = 0u64;
-    let quiescent = loop {
+    let outcome = loop {
         let outcome = rt.run_until(Time::from_ticks((round + 1) * round_ticks));
         for rec in rt.drain_outputs() {
             let Delivered(id) = rec.out;
@@ -134,8 +122,8 @@ pub fn run_instrumented_traced<P: Policy>(
             milestones.completion_round = Some(round);
         }
         round += 1;
-        if outcome == amac_mac::RunOutcome::Idle || milestones.completion_round.is_some() {
-            break outcome == amac_mac::RunOutcome::Idle;
+        if outcome == RunOutcome::Idle || milestones.completion_round.is_some() {
+            break outcome;
         }
     };
 
@@ -146,13 +134,10 @@ pub fn run_instrumented_traced<P: Policy>(
         }
     }
     milestones.mis_valid = algo::is_maximal_independent(dual.g(), &mis);
-    let capture = rt.trace().map(|trace| CellCapture {
-        validation: Some(validate(trace, dual, rt.config(), quiescent)),
-        trace: trace.clone(),
-    });
+    let report = instruments.finish(&mut rt, outcome);
     InstrumentedRun {
         milestones,
-        capture,
+        capture: super::capture(report.trace, report.validation),
     }
 }
 
@@ -303,14 +288,14 @@ pub fn run(
                 // trace is exactly the run behind the statistic.
                 let mut capture = None;
                 for (si, &seed) in seeds.iter().enumerate() {
-                    let traced = run_instrumented_traced(
+                    let traced = run_instrumented(
                         &net.dual,
                         cfg,
                         &assignment,
                         params,
                         seed ^ setup.salt,
                         amac_mac::policies::LazyPolicy::new(),
-                        cell.capture_requested() && si == 0,
+                        &super::cell_options(cell.capture_requested() && si == 0),
                     );
                     let m = traced.milestones;
                     if si == 0 {
@@ -328,14 +313,14 @@ pub fn run(
             } else if cell.point < ns.len() + ks.len() {
                 // --- SUB-GATHER: sweep k on the fixed network ---
                 let (params, assignment) = &setup.gather[cell.point - ns.len()];
-                let traced = run_instrumented_traced(
+                let traced = run_instrumented(
                     &setup.gather_net.dual,
                     cfg,
                     assignment,
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    cell.capture_requested(),
+                    &super::cell_options(cell.capture_requested()),
                 );
                 let m = traced.milestones;
                 // Unreached milestone: record NaN, not a huge finite
@@ -351,14 +336,14 @@ pub fn run(
                 // --- SUB-SPREAD: sweep n (D grows with sqrt n) ---
                 let idx = cell.point - ns.len() - ks.len();
                 let (net, d, params, assignment) = &setup.spread[idx];
-                let traced = run_instrumented_traced(
+                let traced = run_instrumented(
                     &net.dual,
                     cfg,
                     assignment,
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    cell.capture_requested(),
+                    &super::cell_options(cell.capture_requested()),
                 );
                 let m = traced.milestones;
                 // NaN on an unreached milestone, as in the gather sweep.
@@ -499,18 +484,13 @@ pub fn run_default_with(runner: &TrialRunner) -> Subroutines {
     run(2, &[16, 32, 64], &[2, 4, 8], 2.0, &[1, 2, 3], runner)
 }
 
-/// Default parameterisation used by `cargo bench` (single trial).
-pub fn run_default() -> Subroutines {
-    run_default_with(&TrialRunner::single())
-}
-
 /// Smoke parameterisation at an explicit trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Subroutines {
     run(2, &[8, 12], &[1, 2], 2.0, &[1], runner)
 }
 
 /// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default`], tiny sweeps, single trial.
+/// same code paths as [`run_default_with`], tiny sweeps, single trial.
 pub fn run_smoke() -> Subroutines {
     run_smoke_with(&TrialRunner::single())
 }
@@ -534,7 +514,9 @@ mod tests {
             &params,
             3,
             amac_mac::policies::LazyPolicy::new(),
-        );
+            &RunOptions::fast(),
+        )
+        .milestones;
         assert!(m.mis_valid);
         assert!(m.all_decided_round.is_some());
         assert!(m.gather_done_round.is_some());

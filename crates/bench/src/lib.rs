@@ -9,8 +9,9 @@
 //! are measured by the multi-trial [`engine`] ([`TrialRunner`]): `N`
 //! independent trials per experiment, fanned over a worker pool, folded
 //! into mean/CI aggregates that are bit-identical for any worker count.
-//! The `benches/` targets print these tables under `cargo bench`; the
-//! `repro` binary (`--trials N --jobs J`) emits the EXPERIMENTS.md dataset.
+//! The `repro` binary prints these tables (`repro <id>` for one
+//! experiment, `--trials N --jobs J`) and emits the EXPERIMENTS.md
+//! dataset.
 //!
 //! ```no_run
 //! // Regenerate the G' = G cell of Figure 1, 8 trials over 4 workers:

@@ -255,9 +255,9 @@ pub fn fig1_fmmb(opts: &CanonicalOpts) -> CanonicalRun {
     )
 }
 
-/// `SUB-*`: the subroutine experiment's instrumented runner takes no
-/// [`RunOptions`], so the canonical trace is the underlying FMMB execution
-/// the milestones are carved from — same dual, same schedule.
+/// `SUB-*`: the underlying FMMB execution the subroutine milestones are
+/// carved from — same dual, same schedule — run through [`run_fmmb`] and
+/// stopped at completion like the other FMMB canonical runs.
 pub fn subroutines(opts: &CanonicalOpts) -> CanonicalRun {
     let (n, k) = if opts.smoke { (24, 3) } else { (64, 6) };
     let seed = 0x50_B5;

@@ -1,5 +1,5 @@
 //! Plain-text tables in the style of the paper's Figure 1, printed by the
-//! bench targets and the `repro` binary.
+//! `repro` binary.
 
 use crate::engine::TrialStats;
 use std::fmt;

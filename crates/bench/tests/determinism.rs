@@ -157,24 +157,31 @@ fn adaptive_mode_stops_low_variance_sweeps_early() {
 #[test]
 fn captured_outlier_traces_pass_the_validator() {
     // The engine replays each point's min/median/max trial with trace
-    // recording; the replayed executions must conform to the MAC model.
+    // recording; the live validator must find every replayed execution
+    // conforming to the MAC model. FMMB runs through `run_fmmb`, the
+    // subroutines through their own round-stepping runner.
     let runner = TrialRunner::new(2, 2).with_trace_capture(true);
-    let res = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &runner);
-    assert!(!res.outliers.is_empty(), "capture must retain outliers");
-    for o in &res.outliers {
-        assert!(!o.outlier.trace.is_empty(), "{}: empty trace", o.label);
-        let verdict = o
-            .outlier
-            .validation
-            .as_ref()
-            .expect("capture replays validate");
-        assert!(verdict.is_ok(), "{}: {verdict}", o.label);
+    let fmmb = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &runner);
+    let sub = experiments::subroutines::run(2, &[8], &[1], 2.0, &[1], &runner);
+    for outliers in [&fmmb.outliers, &sub.outliers] {
+        assert!(!outliers.is_empty(), "capture must retain outliers");
+        for o in outliers {
+            assert!(!o.outlier.trace.is_empty(), "{}: empty trace", o.label);
+            let verdict = o
+                .outlier
+                .validation
+                .as_ref()
+                .expect("capture replays validate");
+            assert!(verdict.is_ok(), "{}: {verdict}", o.label);
+        }
     }
-    // Capture itself must not perturb measurements: same sweep without
-    // capture renders the identical table.
-    let plain = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &TrialRunner::new(2, 2));
-    let captured = res.table.to_string();
-    assert_eq!(captured, plain.table.to_string());
+    // Capture itself must not perturb measurements: same sweeps without
+    // capture render the identical tables.
+    let plain = TrialRunner::new(2, 2);
+    let fmmb_plain = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &plain);
+    assert_eq!(fmmb.table.to_string(), fmmb_plain.table.to_string());
+    let sub_plain = experiments::subroutines::run(2, &[8], &[1], 2.0, &[1], &plain);
+    assert_eq!(sub.table.to_string(), sub_plain.table.to_string());
 }
 
 /// Drops the named columns from a rendered table, keeping everything else

@@ -3,14 +3,11 @@
 
 use super::node::{Fmmb, MisStatus};
 use super::params::FmmbParams;
-use crate::harness::RunOptions;
+use crate::harness::{InstrumentReport, Instruments, RunOptions};
 use crate::mmb::{Assignment, CompletionTracker, Delivered};
 use amac_graph::{algo, DualGraph, NodeId, NodeSet};
 use amac_mac::trace::Trace;
-use amac_mac::{
-    MacConfig, OnlineStats, OnlineValidator, Policy, RunOutcome, Runtime, TraceObserver,
-    ValidationReport,
-};
+use amac_mac::{MacConfig, OnlineStats, Policy, RunOutcome, Runtime, ValidationReport};
 use amac_sim::stats::Counters;
 use amac_sim::{SimRng, Time};
 use std::fmt;
@@ -163,14 +160,7 @@ pub fn run_fmmb<P: Policy>(
         .collect();
 
     let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    let validator = options
-        .validate
-        .then(|| rt.attach(OnlineValidator::new(dual.clone(), config)));
-    let tracer = options.keep_trace.then(|| rt.attach(TraceObserver::new()));
-    let recorder =
-        crate::harness::attach_recorder(options, dual, config, None).map(|store| rt.attach(store));
-    let metrics = crate::harness::make_metrics(options, config).map(|m| rt.attach(m));
-    let spans = crate::harness::make_spans(options).map(|s| rt.attach(s));
+    let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -198,20 +188,12 @@ pub fn run_fmmb<P: Policy>(
     }
     let mis_valid = algo::is_maximal_independent(dual.g(), &mis);
 
-    let mut validator_stats = None;
-    let validation = validator.map(|handle| {
-        let validator = rt.detach(handle);
-        validator_stats = Some(validator.stats());
-        validator.into_report(outcome == RunOutcome::Idle)
-    });
-    let trace = tracer.map(|handle| rt.detach(handle).into_trace());
-    if let Some(handle) = recorder {
-        crate::harness::finish_recorder(rt.detach(handle), outcome == RunOutcome::Idle);
-    }
-    let metrics = metrics.map(|handle| rt.detach(handle).into_report());
-    if let (Some(handle), Some(path)) = (spans, options.chrome_trace.as_deref()) {
-        crate::harness::finish_spans(&rt.detach(handle), path);
-    }
+    let InstrumentReport {
+        validation,
+        validator_stats,
+        trace,
+        metrics,
+    } = instruments.finish(&mut rt, outcome);
 
     FmmbReport {
         completion: tracker.completed_at(),

@@ -7,11 +7,13 @@ use crate::mmb::{Assignment, CompletionTracker, Delivered};
 use amac_graph::{DualGraph, NodeId};
 use amac_mac::trace::Trace;
 use amac_mac::{
-    Automaton, MacConfig, OnlineStats, OnlineValidator, Policy, RunOutcome, Runtime, TraceObserver,
-    ValidationReport,
+    Automaton, FaultPlan, MacConfig, ObserverHandle, OnlineStats, OnlineValidator, Policy,
+    RunOutcome, Runtime, TraceObserver, ValidationReport,
 };
+use amac_obs::{MetricsObserver, MetricsReport, SpanObserver};
 use amac_sim::stats::Counters;
 use amac_sim::Time;
+use amac_store::StoreObserver;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -64,7 +66,7 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Default options but without post-hoc validation (for large sweeps).
+    /// Default options but without validation (for large sweeps).
     pub fn fast() -> RunOptions {
         RunOptions {
             validate: false,
@@ -116,73 +118,113 @@ impl RunOptions {
     }
 }
 
-/// Attaches a [`StoreObserver`](amac_store::StoreObserver) per
-/// `options.record` to a freshly built runtime; shared by every harness
-/// (MMB here, FMMB, and the `amac-proto` services).
+/// The observers a [`RunOptions`] selects, attached to one runtime: the
+/// one place that turns options into observers and seals them again, so
+/// every harness (MMB and FMMB here, the `amac-proto` services, the
+/// subroutine runner of `amac-bench`) instruments its run the same way.
 ///
-/// # Panics
-///
-/// Panics when the trace file cannot be created — recording was
-/// explicitly requested, so a silently-skipped recording would be worse
-/// than stopping.
-#[doc(hidden)]
-pub fn attach_recorder(
-    options: &RunOptions,
-    dual: &amac_graph::DualGraph,
-    config: MacConfig,
-    faults: Option<&amac_mac::FaultPlan>,
-) -> Option<amac_store::StoreObserver> {
-    options.record.as_ref().map(|(path, seed)| {
-        amac_store::StoreObserver::create(path, dual, config, *seed, faults)
-            .unwrap_or_else(|e| panic!("cannot record trace to {}: {e}", path.display()))
-    })
+/// A harness builds its [`Runtime`], calls [`Instruments::attach`], steps
+/// the execution, and hands the final [`RunOutcome`] to
+/// [`Instruments::finish`].
+#[must_use = "call `finish` to seal the observers (an unsealed recording is unreadable)"]
+pub struct Instruments {
+    validator: Option<ObserverHandle<OnlineValidator>>,
+    tracer: Option<ObserverHandle<TraceObserver>>,
+    recorder: Option<ObserverHandle<StoreObserver>>,
+    metrics: Option<ObserverHandle<MetricsObserver>>,
+    spans: Option<(ObserverHandle<SpanObserver>, PathBuf)>,
 }
 
-/// Finalizes a recording detached from the runtime (writes the End
-/// record, flushes).
-///
-/// # Panics
-///
-/// Panics when the file cannot be sealed — an unfinished recording is an
-/// unreadable file.
-#[doc(hidden)]
-pub fn finish_recorder(store: amac_store::StoreObserver, quiescent: bool) {
-    if let Err(e) = store.finish(quiescent) {
-        panic!("cannot finalize trace recording: {e}");
+/// What the instruments of one run produced; each field is `Some` exactly
+/// when [`RunOptions`] asked for it.
+#[derive(Clone, Debug)]
+pub struct InstrumentReport {
+    /// The streaming validator's verdict ([`RunOptions::validate`]).
+    pub validation: Option<ValidationReport>,
+    /// Peak-memory statistics of the streaming validator
+    /// ([`RunOptions::validate`]).
+    pub validator_stats: Option<OnlineStats>,
+    /// The full execution trace ([`RunOptions::keep_trace`]).
+    pub trace: Option<Trace>,
+    /// Deterministic sim-time metrics ([`RunOptions::metrics`]).
+    pub metrics: Option<MetricsReport>,
+}
+
+impl Instruments {
+    /// Attaches the observers `options` selects to a freshly built
+    /// runtime, in this order: [`OnlineValidator`], [`TraceObserver`],
+    /// [`StoreObserver`] (whose header also digests `faults`),
+    /// [`MetricsObserver`], [`SpanObserver`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace file of [`RunOptions::record`] cannot be
+    /// created — recording was explicitly requested, so a silently
+    /// skipped recording would be worse than stopping.
+    pub fn attach<A: Automaton, P: Policy>(
+        options: &RunOptions,
+        rt: &mut Runtime<A, P>,
+        faults: Option<&FaultPlan>,
+    ) -> Instruments {
+        let config = *rt.config();
+        Instruments {
+            validator: options.validate.then(|| {
+                let validator = OnlineValidator::new(rt.dual().clone(), config);
+                rt.attach(validator)
+            }),
+            tracer: options.keep_trace.then(|| rt.attach(TraceObserver::new())),
+            recorder: options.record.as_ref().map(|(path, seed)| {
+                let store = StoreObserver::create(path, rt.dual(), config, *seed, faults)
+                    .unwrap_or_else(|e| panic!("cannot record trace to {}: {e}", path.display()));
+                rt.attach(store)
+            }),
+            metrics: options
+                .metrics
+                .then(|| rt.attach(MetricsObserver::new(config))),
+            spans: options
+                .chrome_trace
+                .clone()
+                .map(|path| (rt.attach(SpanObserver::new()), path)),
+        }
     }
-}
 
-/// Builds a [`MetricsObserver`](amac_obs::MetricsObserver) per
-/// `options.metrics`; shared by every harness.
-#[doc(hidden)]
-pub fn make_metrics(options: &RunOptions, config: MacConfig) -> Option<amac_obs::MetricsObserver> {
-    options
-        .metrics
-        .then(|| amac_obs::MetricsObserver::new(config))
-}
-
-/// Builds a [`SpanObserver`](amac_obs::SpanObserver) per
-/// `options.chrome_trace`; shared by every harness.
-#[doc(hidden)]
-pub fn make_spans(options: &RunOptions) -> Option<amac_obs::SpanObserver> {
-    options
-        .chrome_trace
-        .as_ref()
-        .map(|_| amac_obs::SpanObserver::new())
-}
-
-/// Writes a detached [`SpanObserver`](amac_obs::SpanObserver)'s Chrome
-/// trace-event export to the file requested by
-/// [`RunOptions::chrome_trace`].
-///
-/// # Panics
-///
-/// Panics when the file cannot be written — the export was explicitly
-/// requested.
-#[doc(hidden)]
-pub fn finish_spans(spans: &amac_obs::SpanObserver, path: &Path) {
-    if let Err(e) = std::fs::write(path, spans.to_chrome_json()) {
-        panic!("cannot write chrome trace to {}: {e}", path.display());
+    /// Detaches every observer in attach order and seals it: the
+    /// validator judges the run (quiescent iff `outcome` is
+    /// [`RunOutcome::Idle`]), the recording gets its End record, and the
+    /// span timeline is written to [`RunOptions::chrome_trace`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the recording cannot be sealed (an unfinished
+    /// recording is an unreadable file) or the chrome trace cannot be
+    /// written — both were explicitly requested.
+    pub fn finish<A: Automaton, P: Policy>(
+        self,
+        rt: &mut Runtime<A, P>,
+        outcome: RunOutcome,
+    ) -> InstrumentReport {
+        let quiescent = outcome == RunOutcome::Idle;
+        let validator = self.validator.map(|handle| rt.detach(handle));
+        let validator_stats = validator.as_ref().map(OnlineValidator::stats);
+        let validation = validator.map(|validator| validator.into_report(quiescent));
+        let trace = self.tracer.map(|handle| rt.detach(handle).into_trace());
+        if let Some(handle) = self.recorder {
+            if let Err(e) = rt.detach(handle).finish(quiescent) {
+                panic!("cannot finalize trace recording: {e}");
+            }
+        }
+        let metrics = self.metrics.map(|handle| rt.detach(handle).into_report());
+        if let Some((handle, path)) = self.spans {
+            if let Err(e) = std::fs::write(&path, rt.detach(handle).to_chrome_json()) {
+                panic!("cannot write chrome trace to {}: {e}", path.display());
+            }
+        }
+        InstrumentReport {
+            validation,
+            validator_stats,
+            trace,
+            metrics,
+        }
     }
 }
 
@@ -214,7 +256,7 @@ pub struct MmbReport {
     pub trace: Option<Trace>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
     /// set.
-    pub metrics: Option<amac_obs::MetricsReport>,
+    pub metrics: Option<MetricsReport>,
 }
 
 impl MmbReport {
@@ -270,13 +312,7 @@ where
     let mut make_node = make_node;
     let nodes = (0..dual.len()).map(|i| make_node(NodeId::new(i))).collect();
     let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    let validator = options
-        .validate
-        .then(|| rt.attach(OnlineValidator::new(dual.clone(), config)));
-    let tracer = options.keep_trace.then(|| rt.attach(TraceObserver::new()));
-    let recorder = attach_recorder(options, dual, config, None).map(|store| rt.attach(store));
-    let metrics = make_metrics(options, config).map(|m| rt.attach(m));
-    let spans = make_spans(options).map(|s| rt.attach(s));
+    let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -298,20 +334,12 @@ where
         }
     };
 
-    let mut validator_stats = None;
-    let validation = validator.map(|handle| {
-        let validator = rt.detach(handle);
-        validator_stats = Some(validator.stats());
-        validator.into_report(outcome == RunOutcome::Idle)
-    });
-    let trace = tracer.map(|handle| rt.detach(handle).into_trace());
-    if let Some(handle) = recorder {
-        finish_recorder(rt.detach(handle), outcome == RunOutcome::Idle);
-    }
-    let metrics = metrics.map(|handle| rt.detach(handle).into_report());
-    if let (Some(handle), Some(path)) = (spans, options.chrome_trace.as_deref()) {
-        finish_spans(&rt.detach(handle), path);
-    }
+    let InstrumentReport {
+        validation,
+        validator_stats,
+        trace,
+        metrics,
+    } = instruments.finish(&mut rt, outcome);
 
     MmbReport {
         completion: tracker.completed_at(),
@@ -489,6 +517,60 @@ mod tests {
         let bare = run_bmmb(&dual, cfg, &a, LazyPolicy::new(), &RunOptions::default());
         assert_eq!(bare.completion, report.completion);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Runs BMMB on a 6-node line with `options` instrumented directly.
+    fn instrumented_flood(options: &RunOptions) -> (InstrumentReport, RunOutcome) {
+        let dual = line_dual(6);
+        let nodes = (0..dual.len()).map(|_| Bmmb::new()).collect();
+        let mut rt = Runtime::new(dual, MacConfig::from_ticks(2, 20), nodes, LazyPolicy::new());
+        let instruments = Instruments::attach(options, &mut rt, None);
+        for (node, msg) in Assignment::all_at(NodeId::new(0), 2).arrivals() {
+            rt.inject(*node, *msg);
+        }
+        let outcome = rt.run();
+        (instruments.finish(&mut rt, outcome), outcome)
+    }
+
+    #[test]
+    fn instruments_attach_and_seal_all_five_observers() {
+        let dir = std::env::temp_dir().join("amac-core-instruments-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (record, chrome) = (dir.join("flood.amactrace"), dir.join("flood.json"));
+        let options = RunOptions::default()
+            .capturing_trace()
+            .recording(&record, 3)
+            .with_metrics()
+            .with_chrome_trace(&chrome);
+        let (report, outcome) = instrumented_flood(&options);
+        assert_eq!(outcome, RunOutcome::Idle);
+        let validation = report.validation.expect("validated");
+        assert!(validation.is_ok(), "{validation}");
+        let stats = report.validator_stats.expect("validator stats");
+        assert!(!report.trace.expect("trace kept").is_empty());
+        assert!(report.metrics.expect("metrics collected").bcasts > 0);
+        let live = amac_store::TraceSummary::for_live(&record, validation, stats).unwrap();
+        let replayed =
+            amac_store::replay_validate(amac_store::TraceReader::open(&record).unwrap()).unwrap();
+        assert_eq!(
+            live, replayed,
+            "the sealed recording replays to the live run"
+        );
+        assert!(live.quiescent);
+        let doc = std::fs::read_to_string(&chrome).unwrap();
+        assert!(doc.starts_with("{\"traceEvents\":["), "{doc}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fast_options_attach_nothing() {
+        // `fast()` names no recording or chrome-trace path, so there is
+        // no file to write either.
+        let (report, _) = instrumented_flood(&RunOptions::fast());
+        assert!(report.validation.is_none());
+        assert!(report.validator_stats.is_none());
+        assert!(report.trace.is_none());
+        assert!(report.metrics.is_none());
     }
 
     #[test]

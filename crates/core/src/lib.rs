@@ -17,6 +17,11 @@
 //! * [`bounds`] — closed-form formulas for every Figure 1 cell.
 //! * [`run_bmmb`] / [`run_fmmb`] — one-call experiment harnesses with
 //!   model-conformance validation.
+//! * [`RunOptions`] / [`Instruments`] — what a run observes, and the one
+//!   place that attaches those observers (streaming validator, trace,
+//!   `.amactrace` recorder, metrics, chrome-trace spans) to a runtime and
+//!   seals them into an [`InstrumentReport`]; every harness, the
+//!   `amac-proto` services included, goes through it.
 //!
 //! ## Quick start
 //!
@@ -48,8 +53,5 @@ mod mmb;
 
 pub use bmmb::Bmmb;
 pub use fmmb::{run_fmmb, Fmmb, FmmbPacket, FmmbParams, FmmbReport, MisStatus, Schedule, Segment};
-pub use harness::{
-    attach_recorder, finish_recorder, finish_spans, make_metrics, make_spans, run_bmmb, run_mmb,
-    MmbReport, RunOptions,
-};
+pub use harness::{run_bmmb, run_mmb, InstrumentReport, Instruments, MmbReport, RunOptions};
 pub use mmb::{Assignment, CompletionTracker, Delivered, MessageId, MmbMessage};

@@ -23,8 +23,9 @@
 //! MAC-level event to pluggable [`Observer`]s. Attach an
 //! [`OnlineValidator`] to re-check conformance *while the execution runs*
 //! in memory proportional to the in-flight state, or a [`TraceObserver`]
-//! to record a full [`trace::Trace`] for the post-hoc [`validate`]
-//! function and hand inspection.
+//! to record a full [`trace::Trace`] for hand inspection and for the
+//! post-hoc [`validate`], the reference oracle that tests compare the
+//! streaming validator against.
 //!
 //! ## Layer map
 //!

@@ -12,9 +12,10 @@
 //!
 //! * [`TraceObserver`] — records the full [`Trace`], O(events) memory; the
 //!   pre-observer default behaviour, now opt-in. Attach it (or use
-//!   [`Runtime::tracing`](crate::Runtime::tracing)) when you need the
-//!   post-hoc [`validate`](crate::validate) function, `--dump-traces`
-//!   output, or hand inspection.
+//!   [`Runtime::tracing`](crate::Runtime::tracing)) when you need
+//!   `--dump-traces` output, hand inspection, or a trace for the
+//!   reference [`validate`](crate::validate) that tests compare the
+//!   streaming validator against.
 //! * [`CounterObserver`] — per-kind event counts, O(1) memory.
 //! * [`OnlineValidator`](crate::OnlineValidator) — checks the five MAC
 //!   guarantees *while the execution runs*, with memory proportional to
@@ -31,7 +32,10 @@
 //! which returns a typed [`ObserverHandle`]; after (or during) the run the
 //! observer is borrowed back with
 //! [`Runtime::observer`](crate::Runtime::observer) or reclaimed by value
-//! with [`Runtime::detach`](crate::Runtime::detach).
+//! with [`Runtime::detach`](crate::Runtime::detach). The run harnesses do
+//! not call these themselves: `amac_core::Instruments` attaches the
+//! observers a `RunOptions` selects (validator, tracer, store, metrics,
+//! spans, in that order) and detaches and seals them when the run ends.
 
 use crate::fault::FaultKind;
 use crate::trace::{Trace, TraceEntry, TraceKind};

@@ -349,6 +349,11 @@ impl CrashIntervals {
 /// the termination check (3); truncated executions skip it and only check
 /// progress windows that closed before the trace horizon.
 ///
+/// This is the reference oracle: no production path calls it. Every
+/// harness validates with the streaming
+/// [`OnlineValidator`](crate::OnlineValidator), and tests check that the
+/// two find the same violations.
+///
 /// # Examples
 ///
 /// ```

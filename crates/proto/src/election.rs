@@ -35,12 +35,12 @@
 //! worse claim re-floods its better one — pulls the late-comer back to
 //! the network's choice.
 
-use amac_core::RunOptions;
+use amac_core::{InstrumentReport, Instruments, RunOptions};
 use amac_graph::{DualGraph, NodeId};
 use amac_mac::trace::Trace;
 use amac_mac::{
-    Automaton, Ctx, FaultPlan, MacConfig, MacMessage, MessageKey, OnlineStats, OnlineValidator,
-    Policy, RunOutcome, Runtime, TraceObserver, ValidationReport,
+    Automaton, Ctx, FaultPlan, MacConfig, MacMessage, MessageKey, OnlineStats, Policy, RunOutcome,
+    Runtime, ValidationReport,
 };
 use amac_sim::stats::Counters;
 use amac_sim::{Duration, SimRng, Time};
@@ -440,15 +440,8 @@ pub fn run_election_with_backoffs<P: Policy>(
     let n = dual.len();
     assert_eq!(backoffs.len(), n, "one back-off per node");
     let nodes = backoffs.iter().map(|&b| ElectionNode::new(b)).collect();
-    let recorder_store = amac_core::attach_recorder(options, dual, config, Some(&faults));
-    let mut rt = Runtime::new(dual.clone(), config, nodes, policy).with_faults(faults);
-    let validator = options
-        .validate
-        .then(|| rt.attach(OnlineValidator::new(dual.clone(), config)));
-    let tracer = options.keep_trace.then(|| rt.attach(TraceObserver::new()));
-    let recorder = recorder_store.map(|store| rt.attach(store));
-    let metrics = amac_core::make_metrics(options, config).map(|m| rt.attach(m));
-    let spans = amac_core::make_spans(options).map(|s| rt.attach(s));
+    let mut rt = Runtime::new(dual.clone(), config, nodes, policy).with_faults(faults.clone());
+    let instruments = Instruments::attach(options, &mut rt, Some(&faults));
 
     let mut convergence: Option<Time> = None;
     let outcome = loop {
@@ -470,20 +463,12 @@ pub fn run_election_with_backoffs<P: Policy>(
         .collect();
     let live: Vec<bool> = (0..n).map(|i| !rt.is_crashed(NodeId::new(i))).collect();
     let check = validate_election(&leaders, &claimants, &live);
-    let mut validator_stats = None;
-    let validation = validator.map(|handle| {
-        let validator = rt.detach(handle);
-        validator_stats = Some(validator.stats());
-        validator.into_report(outcome == RunOutcome::Idle)
-    });
-    let trace = tracer.map(|handle| rt.detach(handle).into_trace());
-    if let Some(handle) = recorder {
-        amac_core::finish_recorder(rt.detach(handle), outcome == RunOutcome::Idle);
-    }
-    let metrics = metrics.map(|handle| rt.detach(handle).into_report());
-    if let (Some(handle), Some(path)) = (spans, options.chrome_trace.as_deref()) {
-        amac_core::finish_spans(&rt.detach(handle), path);
-    }
+    let InstrumentReport {
+        validation,
+        validator_stats,
+        trace,
+        metrics,
+    } = instruments.finish(&mut rt, outcome);
 
     ElectionReport {
         leaders,

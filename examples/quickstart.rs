@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Run BMMB under the lazy, duplicate-feeding scheduler — the most
-    // adversarial generic policy — with post-hoc model validation.
+    // adversarial generic policy — validated against the model as it runs.
     let report = run_bmmb(
         &dual,
         config,
