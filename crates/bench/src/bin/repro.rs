@@ -18,8 +18,10 @@
 //! stops recruiting trials once its 95% CI half-width falls below `FRAC`
 //! of its mean (floor `--trials`, cap `--max-trials`, default `8×trials`).
 //! `--dump-traces DIR` re-runs the min/median/max trial of every sweep
-//! point with MAC-trace recording, re-validates those executions, and
-//! writes one annotated trace file per outlier under `DIR`.
+//! point with its execution recorded to one `.amactrace` file per replayed
+//! `(point, trial)` under `DIR/<id>/`, lists which file holds which
+//! outlier, and judges every file with `replay`'s reader and validator
+//! (`repro replay FILE --observer trace` renders one as text).
 //! `--plots` appends an ASCII histogram/CDF of each sweep point's trial
 //! distribution to its table. `--json DIR` additionally writes one
 //! machine-readable `BENCH_<id>.json` per experiment (full dataset,
@@ -88,6 +90,7 @@ use amac_bench::experiments::{self, ExperimentSpec, LabeledOutlier};
 use amac_mac::trace::TraceKind;
 use amac_mac::{CounterObserver, TraceObserver};
 use amac_store::{replay_into, replay_validate, TraceReader};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -320,14 +323,12 @@ fn main() {
         return;
     }
 
-    let mut runner = TrialRunner::new(trials, jobs)
-        .with_trace_capture(dump_traces.is_some())
-        .with_plots(plots);
+    let mut runner = TrialRunner::new(trials, jobs).with_plots(plots);
     if let Some(frac) = target_ci {
         // Adaptive mode needs headroom above the floor; default the cap to
         // 8x the floor when --max-trials is not given.
         runner = runner
-            .with_max_trials(max_trials.unwrap_or(8 * runner.trials()))
+            .with_max_trials(max_trials.unwrap_or(8 * trials))
             .with_target_ci(frac);
     } else if let Some(max) = max_trials {
         if max > trials {
@@ -356,9 +357,17 @@ fn main() {
     // module-level DETERMINISTIC const); report the effective count.
     let deterministic_detail = format!("{mode}, deterministic: 1 trial");
 
+    // Every capture directory exists before the first run, so a bad
+    // --dump-traces path exits 1 up front.
+    if let Some(dir) = &dump_traces {
+        for spec in &specs {
+            create_dir_or_exit(&dir.join(spec.id));
+        }
+    }
+
     let total = specs.len();
     let mut tables = Vec::new();
-    let mut captures: Vec<(&'static str, Vec<LabeledOutlier>)> = Vec::new();
+    let mut captures: Vec<LabeledOutlier> = Vec::new();
     let mut json_docs: Vec<(&'static str, String)> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let detail = if spec.deterministic {
@@ -372,6 +381,10 @@ fn main() {
             spec.label,
             spec.summary
         );
+        let runner = match &dump_traces {
+            Some(dir) => runner.clone().with_trace_capture(dir.join(spec.id)),
+            None => runner.clone(),
+        };
         let started = Instant::now();
         let out = spec.run(smoke, &runner);
         if json_dir.is_some() {
@@ -386,7 +399,7 @@ fn main() {
                 ),
             ));
         }
-        captures.push((spec.label, out.outliers));
+        captures.extend(out.outliers);
         tables.push(out.table);
     }
 
@@ -398,7 +411,7 @@ fn main() {
         }
     }
     if let Some(dir) = &dump_traces {
-        dump_outlier_traces(dir, &captures);
+        judge_outlier_traces(dir, &captures);
     }
     if let Some(dir) = &json_dir {
         write_json_results(dir, &json_docs);
@@ -429,12 +442,17 @@ fn write_json_results(dir: &Path, docs: &[(&'static str, String)]) {
     write_named_json(dir, &named);
 }
 
-/// Writes pre-named JSON documents under `dir`.
-fn write_named_json(dir: &Path, docs: &[(String, String)]) {
+/// Creates `dir` and its parents, or exits 1 naming it.
+fn create_dir_or_exit(dir: &Path) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(1);
     }
+}
+
+/// Writes pre-named JSON documents under `dir`.
+fn write_named_json(dir: &Path, docs: &[(String, String)]) {
+    create_dir_or_exit(dir);
     for (name, doc) in docs {
         let path = dir.join(name);
         if let Err(e) = std::fs::write(&path, doc) {
@@ -471,10 +489,7 @@ fn record_canonical(
     }
     let chrome_dir = chrome_trace.and_then(Path::parent);
     for dir in [record_dir, metrics_dir, chrome_dir].into_iter().flatten() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
+        create_dir_or_exit(dir);
     }
     let mut json_docs: Vec<(String, String)> = Vec::new();
     let mut metrics_docs: Vec<(String, String)> = Vec::new();
@@ -759,57 +774,33 @@ fn run_replay(files: &[PathBuf], observer: &str, json_dir: Option<&Path>) {
     );
 }
 
-/// Writes one annotated trace file per captured outlier and prints a
-/// validation summary: the post-mortem record of each sweep point's
-/// min/median/max execution.
-fn dump_outlier_traces(dir: &Path, captures: &[(&'static str, Vec<LabeledOutlier>)]) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(1);
+/// `--dump-traces DIR`: names the recording that holds each captured
+/// outlier, then judges every recording by replaying it through a fresh
+/// `OnlineValidator` — the reader and validator of `repro replay`, which
+/// reprints any verdict and renders a recording as text with `--observer
+/// trace`.
+fn judge_outlier_traces(dir: &Path, captures: &[LabeledOutlier]) {
+    let mut files = BTreeSet::new();
+    for o in captures {
+        eprintln!(
+            "{} {} trial {}: {}",
+            o.label,
+            o.outlier.role,
+            o.outlier.trial,
+            o.outlier.path.display()
+        );
+        files.insert(o.outlier.path.as_path());
     }
-    let mut written = 0usize;
     let mut invalid = 0usize;
-    for (experiment, outliers) in captures {
-        for o in outliers {
-            let name = format!(
-                "{experiment}_{}_{}_trial{}.txt",
-                sanitize(&o.label),
-                o.outlier.role,
-                o.outlier.trial
-            );
-            let verdict = match &o.outlier.validation {
-                Some(v) => {
-                    if !v.is_ok() {
-                        invalid += 1;
-                    }
-                    v.to_string()
-                }
-                None => "not validated".to_string(),
-            };
-            let body = format!(
-                "experiment: {experiment}\npoint: {}\nrole: {}\ntrial: {}\nmeasured: {}\nevents: {}\nlast event at: t={}\nvalidation: {verdict}\n\n{}",
-                o.label,
-                o.outlier.role,
-                o.outlier.trial,
-                o.outlier.value,
-                o.outlier.trace.len(),
-                o.outlier
-                    .trace
-                    .last_time()
-                    .map(|t| t.ticks().to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                o.outlier.trace
-            );
-            let path = dir.join(name);
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            written += 1;
+    for path in &files {
+        match TraceReader::open(path).and_then(replay_validate) {
+            Ok(summary) => invalid += usize::from(!summary.validation.is_ok()),
+            Err(e) => replay_fail(path, e),
         }
     }
     eprintln!(
-        "dumped {written} outlier trace(s) to {} ({})",
+        "dumped {} outlier trace(s) to {} ({})",
+        files.len(),
         dir.display(),
         if invalid == 0 {
             "all validated ok".to_string()

@@ -24,10 +24,12 @@
 //!   cap.
 //! * **Outlier trace capture** ([`TrialRunner::with_trace_capture`]): after
 //!   the sweep, the engine deterministically *re-runs* the min-, median-,
-//!   and max-valued trial of every point with MAC-trace recording and
-//!   validation enabled — the interesting behaviour of a w.h.p. bound lives
-//!   in the tail, and the replayed [`amac_mac::trace::Trace`] is the
-//!   post-mortem record of it.
+//!   and max-valued trial of every point, handing each replayed `(point,
+//!   trial)` cell a file to record its execution to
+//!   ([`CellCtx::capture_path`]) — the interesting behaviour of a w.h.p.
+//!   bound lives in the tail, and the sealed `.amactrace` recording is the
+//!   post-mortem record of it, judged and rendered by the same reader as
+//!   `repro replay`.
 //!
 //! ## Determinism contract
 //!
@@ -68,11 +70,10 @@
 //! assert!(run.point(0).trials() >= 4);
 //! ```
 
-use amac_mac::trace::Trace;
-use amac_mac::ValidationReport;
 use amac_sim::stats::Aggregate;
 use amac_sim::SimRng;
 use std::fmt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-trial context handed to the measurement closure.
@@ -116,15 +117,17 @@ pub struct CellCtx {
     /// `trial.rng.split(CELL_SALT ^ point)` — independent per `(trial,
     /// point)` pair so sibling points of one trial can run concurrently.
     pub rng: SimRng,
-    capture: bool,
+    capture: Option<PathBuf>,
 }
 
 impl CellCtx {
-    /// `true` when the engine is replaying this cell to capture its MAC
-    /// trace: the closure should run with trace recording and validation
-    /// enabled and attach the result via [`CellResult::with_capture`].
-    pub fn capture_requested(&self) -> bool {
-        self.capture
+    /// The file to record this cell's execution to, when the engine is
+    /// replaying the cell to capture an outlier: one `.amactrace` per
+    /// replayed `(point, trial)` cell under the runner's capture
+    /// directory, so outlier roles that collapse onto one trial share one
+    /// file. `None` on measurement cells.
+    pub fn capture_path(&self) -> Option<&Path> {
+        self.capture.as_deref()
     }
 
     /// The owning trial's derived seed (see [`TrialCtx::seed`]).
@@ -133,23 +136,12 @@ impl CellCtx {
     }
 }
 
-/// A captured execution bundle: the MAC-level trace of one run plus the
-/// streaming validator's verdict on it.
-#[derive(Clone, Debug)]
-pub struct CellCapture {
-    /// The recorded MAC-level event trace.
-    pub trace: Trace,
-    /// The validator's verdict on that trace, when the experiment ran it.
-    pub validation: Option<ValidationReport>,
-}
-
 /// What one cell measured: a fixed-width vector of values (the point's
 /// *lanes*; lane 0 is the primary measurement adaptive stopping and
-/// outlier selection key on) plus, on a capture replay, the trace bundle.
+/// outlier selection key on).
 #[derive(Clone, Debug)]
 pub struct CellResult {
     values: Vec<f64>,
-    capture: Option<CellCapture>,
 }
 
 impl CellResult {
@@ -157,25 +149,13 @@ impl CellResult {
     pub fn scalar(value: f64) -> CellResult {
         CellResult {
             values: vec![value],
-            capture: None,
         }
     }
 
     /// A multi-lane measurement (the length must match the point's declared
     /// width).
     pub fn vector(values: Vec<f64>) -> CellResult {
-        CellResult {
-            values,
-            capture: None,
-        }
-    }
-
-    /// Attaches a captured trace bundle (only meaningful when
-    /// [`CellCtx::capture_requested`] was `true`; `None` is a no-op so
-    /// experiments can pass `report.trace`-derived options unconditionally).
-    pub fn with_capture(mut self, capture: Option<CellCapture>) -> CellResult {
-        self.capture = capture;
-        self
+        CellResult { values }
     }
 }
 
@@ -215,7 +195,7 @@ impl fmt::Display for OutlierRole {
 }
 
 /// One captured outlier execution of a sweep point: which trial, what it
-/// measured, and the replayed trace with its validation verdict.
+/// measured, and the recording of its replay.
 #[derive(Clone, Debug)]
 pub struct OutlierTrace {
     /// Order statistic this trial realizes for its point.
@@ -224,10 +204,9 @@ pub struct OutlierTrace {
     pub trial: u64,
     /// The trial's lane-0 (primary) measurement.
     pub value: f64,
-    /// The replayed MAC-level trace.
-    pub trace: Trace,
-    /// Validator verdict on the replayed trace.
-    pub validation: Option<ValidationReport>,
+    /// The `.amactrace` file the replay recorded (shared by the roles that
+    /// fall on the same trial).
+    pub path: PathBuf,
 }
 
 /// Result of one sweep point: per-lane aggregates over however many trials
@@ -273,8 +252,7 @@ impl PointRun {
     }
 
     /// Captured min/median/max outlier traces (empty unless the runner had
-    /// [`TrialRunner::with_trace_capture`] enabled and the experiment
-    /// supports capture).
+    /// [`TrialRunner::with_trace_capture`] enabled).
     pub fn outliers(&self) -> &[OutlierTrace] {
         &self.outliers
     }
@@ -316,13 +294,13 @@ impl SweepRun {
 /// results deterministically. See the [module docs](self) for the
 /// determinism contract and the three engine features (within-trial
 /// parallelism, adaptive trial counts, outlier trace capture).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrialRunner {
     trials: usize,
     jobs: usize,
     max_trials: usize,
     target_ci: Option<f64>,
-    capture: bool,
+    capture: Option<PathBuf>,
     plots: bool,
 }
 
@@ -336,7 +314,7 @@ impl TrialRunner {
             jobs: jobs.max(1),
             max_trials: trials,
             target_ci: None,
-            capture: false,
+            capture: None,
             plots: false,
         }
     }
@@ -365,17 +343,24 @@ impl TrialRunner {
         self
     }
 
+    /// Sets the worker thread count (clamped to at least 1).
+    pub fn with_jobs(mut self, jobs: usize) -> TrialRunner {
+        self.jobs = jobs.max(1);
+        self
+    }
+
     /// Sets the adaptive trial cap (clamped to at least the floor).
     pub fn with_max_trials(mut self, max_trials: usize) -> TrialRunner {
         self.max_trials = max_trials.max(self.trials);
         self
     }
 
-    /// Enables (or disables) outlier trace capture: after the sweep, the
-    /// min/median/max trial of every point is replayed with MAC-trace
-    /// recording and validation.
-    pub fn with_trace_capture(mut self, capture: bool) -> TrialRunner {
-        self.capture = capture;
+    /// Enables outlier trace capture into `dir`: after the sweep, the
+    /// min/median/max trial of every point is replayed with its execution
+    /// recorded to `dir/point<p>_trial<t>.amactrace` (see
+    /// [`CellCtx::capture_path`]). The directory must exist.
+    pub fn with_trace_capture(mut self, dir: impl Into<PathBuf>) -> TrialRunner {
+        self.capture = Some(dir.into());
         self
     }
 
@@ -400,7 +385,7 @@ impl TrialRunner {
             jobs: self.jobs,
             max_trials: 1,
             target_ci: None,
-            capture: self.capture,
+            capture: self.capture.clone(),
             plots: self.plots,
         }
     }
@@ -432,7 +417,7 @@ impl TrialRunner {
 
     /// `true` when outlier trace capture is enabled.
     pub fn captures_traces(&self) -> bool {
-        self.capture
+        self.capture.is_some()
     }
 
     /// `true` when distribution plots are enabled.
@@ -452,7 +437,7 @@ impl TrialRunner {
     ///   relative CI meets the target at a batch boundary;
     /// * trace capture (when enabled) deterministically replays each
     ///   point's min/median/max trial afterwards with
-    ///   [`CellCtx::capture_requested`] set.
+    ///   [`CellCtx::capture_path`] set.
     ///
     /// # Panics
     ///
@@ -476,7 +461,7 @@ impl TrialRunner {
             index: t as u64,
             rng: base.split(t as u64),
         };
-        let cell_ctx = |t: usize, p: usize, capture: bool| {
+        let cell_ctx = |t: usize, p: usize, capture: Option<PathBuf>| {
             let trial = trial_ctx(t);
             let rng = trial.rng.split(CELL_STREAM_SALT ^ p as u64);
             CellCtx {
@@ -514,7 +499,7 @@ impl TrialRunner {
             let results: Vec<CellResult> = self.parallel_map(active.len() * fresh, |i| {
                 let (ti, pi) = (i / active.len(), i % active.len());
                 let s = setups[ti].get_or_init(|| setup(&trial_ctx(done + ti)));
-                measure(s, &cell_ctx(done + ti, active[pi], false))
+                measure(s, &cell_ctx(done + ti, active[pi], None))
             });
             // Fold in (point, trial) order — scheduling never leaks in.
             for (pi, &p) in active.iter().enumerate() {
@@ -545,10 +530,11 @@ impl TrialRunner {
             }
         }
 
-        let outliers = if self.capture {
-            self.capture_outliers(&lane0, &trial_ctx, &cell_ctx, &setup, &measure)
-        } else {
-            vec![Vec::new(); points]
+        let outliers = match &self.capture {
+            Some(dir) => {
+                self.capture_outliers(dir, &lane0, &trial_ctx, &cell_ctx, &setup, &measure)
+            }
+            None => vec![Vec::new(); points],
         };
 
         SweepRun {
@@ -566,15 +552,16 @@ impl TrialRunner {
     }
 
     /// Deterministic replay pass: pick each point's min/median/max trial
-    /// from the recorded lane-0 values and re-run just those cells with
-    /// capture requested. Each needed trial's setup is rebuilt once and
-    /// shared by every point replaying that trial, and the replays
-    /// themselves run over the worker pool.
+    /// from the recorded lane-0 values and re-run just those cells, each
+    /// with its own capture file under `dir`. Each needed trial's setup is
+    /// rebuilt once and shared by every point replaying that trial, and the
+    /// replays themselves run over the worker pool.
     fn capture_outliers<S, FS, FM>(
         &self,
+        dir: &Path,
         lane0: &[Vec<f64>],
         trial_ctx: &(dyn Fn(usize) -> TrialCtx + Sync),
-        cell_ctx: &(dyn Fn(usize, usize, bool) -> CellCtx + Sync),
+        cell_ctx: &(dyn Fn(usize, usize, Option<PathBuf>) -> CellCtx + Sync),
         setup: &FS,
         measure: &FM,
     ) -> Vec<Vec<OutlierTrace>>
@@ -604,16 +591,14 @@ impl TrialRunner {
                 per_point.into_iter().map(move |t| (p, t))
             })
             .collect();
-        let captures: Vec<Option<CellCapture>> = self.parallel_map(cells.len(), |i| {
+        let path_of = |p: usize, trial: u64| dir.join(format!("point{p}_trial{trial}.amactrace"));
+        self.parallel_map(cells.len(), |i| {
             let (p, trial) = cells[i];
-            measure(setup_of(trial), &cell_ctx(trial as usize, p, true)).capture
+            measure(
+                setup_of(trial),
+                &cell_ctx(trial as usize, p, Some(path_of(p, trial))),
+            );
         });
-        let capture_of = |p: usize, trial: u64| {
-            let i = cells
-                .binary_search(&(p, trial))
-                .expect("cell was collected");
-            captures[i].clone()
-        };
 
         picks
             .into_iter()
@@ -621,14 +606,11 @@ impl TrialRunner {
             .map(|(p, roles)| {
                 roles
                     .into_iter()
-                    .filter_map(|(role, trial, value)| {
-                        capture_of(p, trial).map(|capture| OutlierTrace {
-                            role,
-                            trial,
-                            value,
-                            trace: capture.trace,
-                            validation: capture.validation,
-                        })
+                    .map(|(role, trial, value)| OutlierTrace {
+                        role,
+                        trial,
+                        value,
+                        path: path_of(p, trial),
                     })
                     .collect()
             })
@@ -990,22 +972,16 @@ mod tests {
     // --- run_sweep: outlier capture ---
 
     fn capture_cell(_: &(), cell: &CellCtx) -> CellResult {
-        let value = (cell.trial.index * 10) as f64;
-        let capture = cell.capture_requested().then(|| CellCapture {
-            trace: Trace::new(),
-            validation: None,
-        });
-        CellResult::scalar(value).with_capture(capture)
+        CellResult::scalar((cell.trial.index * 10) as f64)
     }
 
     #[test]
     fn capture_replays_min_median_max_trials() {
-        let run = TrialRunner::new(5, 2).with_trace_capture(true).run_sweep(
-            0,
-            &[1],
-            |_| (),
-            capture_cell,
-        );
+        let dir = Path::new("captures");
+        let run =
+            TrialRunner::new(5, 2)
+                .with_trace_capture(dir)
+                .run_sweep(0, &[1], |_| (), capture_cell);
         let outliers = run.point(0).outliers();
         assert_eq!(outliers.len(), 3);
         let by_role: Vec<(OutlierRole, u64, f64)> = outliers
@@ -1015,6 +991,7 @@ mod tests {
         assert_eq!(by_role[0], (OutlierRole::Min, 0, 0.0));
         assert_eq!(by_role[1], (OutlierRole::Median, 2, 20.0));
         assert_eq!(by_role[2], (OutlierRole::Max, 4, 40.0));
+        assert_eq!(outliers[1].path, dir.join("point0_trial2.amactrace"));
         // The aggregate folds every trial's value, not just the outliers.
         let primary = run.point(0).primary();
         assert_eq!(primary.count(), 5);
@@ -1025,29 +1002,45 @@ mod tests {
 
     #[test]
     fn capture_collapses_on_a_single_trial() {
-        let run =
-            TrialRunner::single()
-                .with_trace_capture(true)
-                .run_sweep(0, &[1], |_| (), capture_cell);
+        // Every cell that is handed a capture path, in replay order.
+        let replays = std::sync::Mutex::new(Vec::new());
+        let run = TrialRunner::single()
+            .with_trace_capture("captures")
+            .run_sweep(
+                0,
+                &[1, 1],
+                |_| (),
+                |_, cell| {
+                    if let Some(path) = cell.capture_path() {
+                        replays.lock().unwrap().push(path.to_path_buf());
+                    }
+                    CellResult::scalar(1.0)
+                },
+            );
         let outliers = run.point(0).outliers();
         assert_eq!(outliers.len(), 3, "all three roles exist");
-        assert!(outliers.iter().all(|o| o.trial == 0));
+        assert!(outliers
+            .iter()
+            .all(|o| o.trial == 0 && o.path == outliers[0].path));
+        // One replay per (point, trial): the three roles share its file.
+        let mut replays = replays.into_inner().unwrap();
+        replays.sort();
+        assert_eq!(
+            replays,
+            ["point0_trial0.amactrace", "point1_trial0.amactrace"]
+                .map(|name| Path::new("captures").join(name))
+        );
     }
 
     #[test]
     fn capture_off_records_no_outliers() {
-        let run = TrialRunner::new(4, 2).run_sweep(0, &[1], |_| (), capture_cell);
-        assert!(run.point(0).outliers().is_empty());
-    }
-
-    #[test]
-    fn cells_that_cannot_capture_yield_no_outliers() {
-        let run = TrialRunner::new(4, 2).with_trace_capture(true).run_sweep(
+        let run = TrialRunner::new(4, 2).run_sweep(
             0,
             &[1],
             |_| (),
-            |_: &(), cell: &CellCtx| {
-                CellResult::scalar(cell.trial.index as f64) // never attaches a capture
+            |_, cell| {
+                assert!(cell.capture_path().is_none());
+                capture_cell(&(), cell)
             },
         );
         assert!(run.point(0).outliers().is_empty());
@@ -1067,7 +1060,7 @@ mod tests {
         let r = TrialRunner::new(8, 4)
             .with_max_trials(32)
             .with_target_ci(0.1)
-            .with_trace_capture(true)
+            .with_trace_capture("captures")
             .deterministic();
         assert_eq!((r.trials(), r.max_trials()), (1, 1));
         assert_eq!(r.jobs(), 4);

@@ -112,10 +112,9 @@ pub fn run(
                 &params,
                 setup.trial_seed ^ 0xAB,
                 LazyPolicy::new(),
-                &super::cell_options(cell.capture_requested()).stopping_on_completion(),
+                &super::cell_options(cell).stopping_on_completion(),
             );
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| {

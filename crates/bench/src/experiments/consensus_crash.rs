@@ -17,10 +17,11 @@
 //! ([`amac_proto::validate_consensus`]): agreement, validity, integrity,
 //! and termination of live nodes within the horizon. The `violations`
 //! column aggregates the per-trial violation count — its mean must be
-//! **0.0** at every sweep point. Captured outlier traces additionally
-//! pass `amac_mac::validate` with crash events present.
+//! **0.0** at every sweep point. Captured outlier recordings additionally
+//! replay clean through the streaming validator with crash records
+//! present.
 
-use super::{LabeledOutlier, SweepPoint};
+use super::LabeledOutlier;
 use crate::engine::{CellResult, TrialRunner, TrialStats};
 use crate::table::{ci_cell, mean_cell, Table};
 use amac_graph::{generators, DualGraph};
@@ -48,17 +49,6 @@ pub struct CrashPoint {
     pub broadcasts: TrialStats,
     /// The deterministic decision deadline `phases · phase_len`, in ticks.
     pub bound: u64,
-}
-
-impl CrashPoint {
-    /// As a generic [`SweepPoint`] over `n` (for fitting).
-    pub fn as_sweep_point(&self) -> SweepPoint {
-        SweepPoint {
-            param: self.n,
-            measured: self.measured,
-            bound: self.bound,
-        }
-    }
 }
 
 /// Results of the `CONS` experiment.
@@ -128,13 +118,12 @@ pub fn run(
                 &params,
                 faults,
                 LazyPolicy::new().prefer_duplicates(),
-                &super::cell_options(cell.capture_requested()),
+                &super::cell_options(cell),
             );
             let ticks = super::ticks_or_end(report.completion, report.end_time) as f64;
             let violations = report.violation_count() as f64;
             let broadcasts = report.counters.get("bcast") as f64;
-            let capture = super::capture(report.trace, report.validation);
-            CellResult::vector(vec![ticks, violations, broadcasts]).with_capture(capture)
+            CellResult::vector(vec![ticks, violations, broadcasts])
         },
     );
     let label = |i: usize| {
@@ -255,6 +244,7 @@ pub fn run_smoke() -> ConsensusCrash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::capture_tests;
 
     #[test]
     fn zero_violations_across_crash_fractions() {
@@ -302,19 +292,20 @@ mod tests {
 
     #[test]
     fn captured_outlier_traces_validate_with_crash_events() {
-        let runner = TrialRunner::new(2, 2).with_trace_capture(true);
+        let dir = capture_tests::capture_dir("consensus_crash");
+        let runner = TrialRunner::new(2, 2).with_trace_capture(&dir);
         let res = run(2, 12, 10, &[0.3], &[], 0.2, 5, &runner);
-        assert!(!res.outliers.is_empty());
-        let mut saw_crash_events = false;
-        for o in &res.outliers {
-            assert!(!o.outlier.trace.is_empty(), "{}: empty trace", o.label);
-            saw_crash_events |= !o.outlier.trace.faults().is_empty();
-            let v = o.outlier.validation.as_ref().expect("validated");
-            assert!(v.is_ok(), "{}: {v}", o.label);
+        for (o, summary) in res
+            .outliers
+            .iter()
+            .zip(capture_tests::replay_clean(&res.outliers))
+        {
+            assert!(
+                summary.faults > 0,
+                "{}: f=0.3 recordings must carry crash records",
+                o.label
+            );
         }
-        assert!(
-            saw_crash_events,
-            "f=0.3 outlier traces must carry crash events"
-        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,7 +15,7 @@
 //! * per-trial election violations ([`amac_proto::validate_election`]):
 //!   agreement, completeness, claimant-ship, minimality — mean must be 0.
 
-use super::{LabeledOutlier, SweepPoint};
+use super::LabeledOutlier;
 use crate::engine::{CellResult, TrialRunner, TrialStats};
 use crate::table::{ci_cell, mean_cell, Table};
 use amac_graph::generators::{connected_grey_zone_network, GreyZoneConfig, GreyZoneNetwork};
@@ -37,17 +37,6 @@ pub struct ElectionPoint {
     pub violations: TrialStats,
     /// Mean of the per-trial reference bound `W + 2(D+1)(F_prog+1)`.
     pub bound: u64,
-}
-
-impl ElectionPoint {
-    /// As a generic [`SweepPoint`] over `n` (for fitting).
-    pub fn as_sweep_point(&self) -> SweepPoint {
-        SweepPoint {
-            param: self.n,
-            measured: self.measured,
-            bound: self.bound,
-        }
-    }
 }
 
 /// Results of the `ELECT` experiment.
@@ -112,7 +101,7 @@ pub fn run(
                 rng.next(),
                 FaultPlan::new(),
                 LazyPolicy::new(),
-                &super::cell_options(cell.capture_requested()),
+                &super::cell_options(cell),
             );
             let d = net.dual.diameter() as u64;
             let bound = window + 2 * (d + 1) * (f_prog + 1);
@@ -121,14 +110,12 @@ pub fn run(
                 .map(amac_sim::Time::ticks)
                 .unwrap_or(report.end_time.ticks()) as f64;
             let violations = report.violation_count() as f64;
-            let capture = super::capture(report.trace, report.validation);
             CellResult::vector(vec![
                 convergence,
                 report.claimants.len() as f64,
                 violations,
                 bound as f64,
             ])
-            .with_capture(capture)
         },
     );
     let label = |i: usize| format!("n={}", ns[i]);
@@ -244,12 +231,10 @@ mod tests {
 
     #[test]
     fn captured_traces_are_model_valid() {
-        let runner = TrialRunner::new(2, 2).with_trace_capture(true);
+        let dir = crate::experiments::capture_tests::capture_dir("election");
+        let runner = TrialRunner::new(2, 2).with_trace_capture(&dir);
         let res = run(2, 12, 16, &[10], 2.0, 3, &runner);
-        assert!(!res.outliers.is_empty());
-        for o in &res.outliers {
-            let v = o.outlier.validation.as_ref().expect("validated");
-            assert!(v.is_ok(), "{}: {v}", o.label);
-        }
+        crate::experiments::capture_tests::replay_clean(&res.outliers);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -92,7 +92,7 @@ pub fn run(
     let runner = if DETERMINISTIC {
         runner.deterministic()
     } else {
-        *runner
+        runner.clone()
     };
     let shortcuts = |d: usize| ((d as f64 * shortcut_fraction).ceil() as usize).max(1);
     let point_params = |point: usize| {
@@ -109,15 +109,8 @@ pub fn run(
         |_trial| (),
         |_, cell| {
             let (d, k) = point_params(cell.point);
-            let report = measure(
-                d,
-                k,
-                config,
-                shortcuts(d),
-                &super::cell_options(cell.capture_requested()),
-            );
+            let report = measure(d, k, config, shortcuts(d), &super::cell_options(cell));
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| {

@@ -142,7 +142,7 @@ pub fn run(
             }
         },
         |setup, cell| {
-            let options = super::cell_options(cell.capture_requested()).stopping_on_completion();
+            let options = super::cell_options(cell).stopping_on_completion();
             if cell.point < 2 * f_acks.len() {
                 let f_ack = f_acks[cell.point / 2];
                 let cfg = MacConfig::from_ticks(f_prog, f_ack);
@@ -155,7 +155,6 @@ pub fn run(
                         &options,
                     );
                     CellResult::scalar(bmmb.completion_ticks() as f64)
-                        .with_capture(super::capture(bmmb.trace, bmmb.validation))
                 } else {
                     let fmmb = run_fmmb(
                         &setup.cross_net.dual,
@@ -171,7 +170,6 @@ pub fn run(
                     // record the schedule-end time instead of panicking —
                     // a lower bound on the true completion time.
                     CellResult::scalar(super::ticks_or_end(fmmb.completion, fmmb.end_time) as f64)
-                        .with_capture(super::capture(fmmb.trace, fmmb.validation))
                 }
             } else {
                 // Size sweep (fixed moderate F_ack; FMMB does not depend
@@ -193,7 +191,6 @@ pub fn run(
                     super::ticks_or_end(report.completion, report.end_time) as f64,
                     bounds::fmmb_enhanced(n, s.d, k, &cfg).ticks().max(1) as f64,
                 ])
-                .with_capture(super::capture(report.trace, report.validation))
             }
         },
     );

@@ -75,7 +75,7 @@ pub fn run(
     let runner = if DETERMINISTIC {
         runner.deterministic()
     } else {
-        *runner
+        runner.clone()
     };
     let point_params = |point: usize| {
         if point < ds.len() {
@@ -91,9 +91,8 @@ pub fn run(
         |_trial| (),
         |_, cell| {
             let (d, k) = point_params(cell.point);
-            let report = measure(d, k, config, &super::cell_options(cell.capture_requested()));
+            let report = measure(d, k, config, &super::cell_options(cell));
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| {
@@ -290,7 +289,8 @@ mod tests {
 
     #[test]
     fn captured_outliers_carry_valid_traces() {
-        let runner = TrialRunner::new(1, 2).with_trace_capture(true);
+        let dir = crate::experiments::capture_tests::capture_dir("fig1_gg");
+        let runner = TrialRunner::new(1, 2).with_trace_capture(&dir);
         let res = run(
             MacConfig::from_ticks(2, 32),
             &[4, 8],
@@ -299,13 +299,12 @@ mod tests {
             6,
             &runner,
         );
-        // 4 points x 3 roles (all collapsing onto the single trial).
+        // 4 points x 3 roles, all collapsing onto the single trial: one
+        // recording per point.
         assert_eq!(res.outliers.len(), 12);
-        for o in &res.outliers {
-            assert!(!o.outlier.trace.is_empty(), "{}: empty trace", o.label);
-            let v = o.outlier.validation.as_ref().expect("validated");
-            assert!(v.is_ok(), "{}: {v}", o.label);
-        }
+        crate::experiments::capture_tests::replay_clean(&res.outliers);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 4);
+        std::fs::remove_dir_all(&dir).ok();
         // Capture off: no outliers retained.
         let plain = run(
             MacConfig::from_ticks(2, 32),

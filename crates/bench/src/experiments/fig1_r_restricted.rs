@@ -85,10 +85,9 @@ pub fn run(
                 rs[cell.point],
                 edge_probability,
                 cell.seed(seed),
-                &super::cell_options(cell.capture_requested()),
+                &super::cell_options(cell),
             );
             CellResult::scalar(report.completion_ticks() as f64)
-                .with_capture(super::capture(report.trace, report.validation))
         },
     );
     let label = |i: usize| format!("r={}", rs[i]);

@@ -58,7 +58,7 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
     let runner = if DETERMINISTIC {
         runner.deterministic()
     } else {
-        *runner
+        runner.clone()
     };
     let widths = vec![1usize; ks.len() + ds.len()];
     let run = runner.run_sweep(
@@ -66,14 +66,13 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
         &widths,
         |_trial| (),
         |_, cell| {
-            let options = super::cell_options(cell.capture_requested());
+            let options = super::cell_options(cell);
             let report = if cell.point < ks.len() {
                 run_choke_star(ks[cell.point], config, &options)
             } else {
                 run_dual_line(ds[cell.point - ks.len()], config, &options)
             };
             CellResult::scalar(report.completion_ticks as f64)
-                .with_capture(super::capture(report.run.trace, report.run.validation))
         },
     );
     let label = |i: usize| {

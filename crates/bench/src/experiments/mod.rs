@@ -28,11 +28,9 @@ pub mod scale;
 pub mod subroutines;
 
 use crate::engine::TrialStats;
-use crate::engine::{CellCapture, OutlierTrace, SweepRun, TrialRunner};
+use crate::engine::{CellCtx, OutlierTrace, SweepRun, TrialRunner};
 use crate::table::Table;
 use amac_core::RunOptions;
-use amac_mac::trace::Trace;
-use amac_mac::ValidationReport;
 use amac_sim::stats::Aggregate;
 use amac_sim::Time;
 
@@ -43,27 +41,18 @@ use amac_sim::Time;
 pub struct LabeledOutlier {
     /// Human-readable sweep-point label.
     pub label: String,
-    /// The captured min/median/max trial: trace + validation verdict.
+    /// The captured min/median/max trial and the file its replay recorded.
     pub outlier: OutlierTrace,
 }
 
-/// Run options for one sweep cell: the fast no-validation path normally,
-/// the trace-capturing path when the engine is replaying an outlier.
-pub(crate) fn cell_options(capture: bool) -> RunOptions {
-    if capture {
-        RunOptions::fast().capturing_trace()
-    } else {
-        RunOptions::fast()
+/// Run options for one sweep cell: the fast no-validation path, recording
+/// the execution to the cell's capture file when the engine is replaying
+/// an outlier (its verdict comes from replaying that file).
+pub(crate) fn cell_options(cell: &CellCtx) -> RunOptions {
+    match cell.capture_path() {
+        Some(path) => RunOptions::fast().recording(path, cell.trial.index),
+        None => RunOptions::fast(),
     }
-}
-
-/// Bundles a harness report's kept trace (if any) with its validation
-/// verdict for the engine.
-pub(crate) fn capture(
-    trace: Option<Trace>,
-    validation: Option<ValidationReport>,
-) -> Option<CellCapture> {
-    trace.map(|trace| CellCapture { trace, validation })
 }
 
 /// Flattens a sweep's captured outliers, labeling each with its point.
@@ -189,7 +178,7 @@ pub(crate) fn append_plots(
 pub struct ExperimentOutput {
     /// Rendered result table.
     pub table: Table,
-    /// Captured min/median/max traces (empty without trace capture).
+    /// Captured min/median/max recordings (empty without trace capture).
     pub outliers: Vec<LabeledOutlier>,
 }
 
@@ -364,4 +353,44 @@ pub fn registry() -> &'static [ExperimentSpec] {
 /// Looks an experiment up by its registry [`id`](ExperimentSpec::id).
 pub fn find(id: &str) -> Option<&'static ExperimentSpec> {
     registry().iter().find(|spec| spec.id == id)
+}
+
+/// Test support for outlier capture: a capture directory per test and the
+/// replayed verdicts of its recordings.
+#[cfg(test)]
+pub(crate) mod capture_tests {
+    use super::LabeledOutlier;
+    use amac_store::{replay_validate, TraceReader, TraceSummary};
+    use std::path::PathBuf;
+
+    /// A fresh, existing capture directory unique to `tag` and this process.
+    pub(crate) fn capture_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("amac-bench-capture-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("temp dir is writable");
+        dir
+    }
+
+    /// Replays every outlier's recording through a fresh validator and
+    /// asserts that it holds events and a clean verdict.
+    pub(crate) fn replay_clean(outliers: &[LabeledOutlier]) -> Vec<TraceSummary> {
+        assert!(!outliers.is_empty(), "capture must retain outliers");
+        outliers
+            .iter()
+            .map(|o| {
+                let summary = TraceReader::open(&o.outlier.path)
+                    .and_then(replay_validate)
+                    .unwrap_or_else(|e| panic!("{}: {e}", o.label));
+                assert!(summary.events > 0, "{}: empty recording", o.label);
+                assert!(
+                    summary.validation.is_ok(),
+                    "{}: {}",
+                    o.label,
+                    summary.validation
+                );
+                summary
+            })
+            .collect()
+    }
 }

@@ -61,8 +61,7 @@ pub struct ScalePoint {
 pub struct Scale {
     /// One point per swept `n`.
     pub points: Vec<ScalePoint>,
-    /// Captured outlier traces (capture replays re-run with a trace
-    /// observer attached; empty otherwise).
+    /// Captured outlier recordings (empty without trace capture).
     pub outliers: Vec<LabeledOutlier>,
     /// Rendered table. The `seq ev/s` column is wall clock; every other
     /// cell is byte-identical across `--jobs` and machines.
@@ -86,25 +85,23 @@ const MESSAGES: usize = 2;
 /// 0, so `G′ = G` and the edge set is fixed by the grid arithmetic).
 const TOPOLOGY_SEED: u64 = 0x5CA1E;
 
-fn measure(n: usize, capture: bool) -> (MmbReport, f64) {
+fn measure(n: usize, options: &RunOptions) -> (MmbReport, f64) {
     let mut rng = SimRng::seed(TOPOLOGY_SEED ^ n as u64);
     let net = generators::grid_grey_zone_network(n, 0.0, &mut rng).expect("n >= 1");
     let assignment = Assignment::all_at(NodeId::new(0), MESSAGES);
     let config = MacConfig::from_ticks(2, 32);
-    let options = if capture {
-        RunOptions::default().capturing_trace()
-    } else {
-        RunOptions::default() // streaming validation on, no trace
-    };
     let started = Instant::now();
-    let report = run_bmmb(&net.dual, config, &assignment, EagerPolicy::new(), &options);
+    let report = run_bmmb(&net.dual, config, &assignment, EagerPolicy::new(), options);
     (report, started.elapsed().as_secs_f64())
 }
 
 /// Runs the scale sweep over the given network sizes, timing every point
 /// once.
 pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
-    let runner = runner.deterministic();
+    // One trial on the calling thread: capture runs then reuse the
+    // allocator arena of the measurement pass below instead of leaving a
+    // worker arena's freed n = 10⁵ execution resident beside it.
+    let runner = runner.deterministic().with_jobs(1);
     // The engine sweep exists solely to serve `--dump-traces` outlier
     // capture; without capture its results would be discarded, so skip
     // the duplicate executions entirely (the measurement pass below is
@@ -116,9 +113,8 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
             &widths,
             |_trial| (),
             |_, cell| {
-                let (report, _) = measure(ns[cell.point], cell.capture_requested());
+                let (report, _) = measure(ns[cell.point], &super::cell_options(cell));
                 CellResult::scalar(report.completion_ticks() as f64)
-                    .with_capture(super::capture(report.trace, report.validation))
             },
         );
         super::collect_outliers(&run, |i| format!("n={}", ns[i]))
@@ -130,11 +126,13 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
     // and after a warm-up, so worker contention never pollutes the
     // throughput numbers (and the engine's aggregates stay fully
     // deterministic).
-    let _warmup = measure(ns[0], false);
+    // Streaming validation on: the validator peaks are the experiment.
+    let validated = RunOptions::default();
+    let _warmup = measure(ns[0], &validated);
     let points: Vec<ScalePoint> = ns
         .iter()
         .map(|&n| {
-            let (report, secs) = measure(n, false);
+            let (report, secs) = measure(n, &validated);
             let stats = report
                 .validator_stats
                 .expect("scale runs with streaming validation attached");
@@ -287,13 +285,10 @@ mod tests {
 
     #[test]
     fn capture_replays_with_valid_traces() {
-        let runner = TrialRunner::new(1, 2).with_trace_capture(true);
+        let dir = crate::experiments::capture_tests::capture_dir("scale");
+        let runner = TrialRunner::new(1, 2).with_trace_capture(&dir);
         let res = run(&[64], &runner);
-        assert!(!res.outliers.is_empty());
-        for o in &res.outliers {
-            assert!(!o.outlier.trace.is_empty(), "{}: empty trace", o.label);
-            let v = o.outlier.validation.as_ref().expect("capture validates");
-            assert!(v.is_ok(), "{}: {v}", o.label);
-        }
+        crate::experiments::capture_tests::replay_clean(&res.outliers);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,7 +10,7 @@
 //!   completion, versus `O((D + k)·log n)`.
 
 use super::LabeledOutlier;
-use crate::engine::{CellCapture, CellResult, TrialRunner, TrialStats};
+use crate::engine::{CellResult, TrialRunner, TrialStats};
 use crate::table::{ci_cell, mean_cell, Table};
 use amac_core::{
     Assignment, Delivered, Fmmb, FmmbParams, Instruments, MessageId, MisStatus, RunOptions,
@@ -39,19 +39,12 @@ pub struct Milestones {
     pub gather_start_round: u64,
 }
 
-/// One instrumented run plus, when requested, its captured trace bundle.
-pub struct InstrumentedRun {
-    /// The per-round milestones the sweeps measure.
-    pub milestones: Milestones,
-    /// The MAC trace and validator verdict, when `options` kept the trace.
-    pub capture: Option<CellCapture>,
-}
-
 /// Runs FMMB while checking node-state milestones once per round, until
 /// MMB completion or quiescence. `options` selects the observers (see
-/// [`Instruments`]); its horizon and stop rule do not apply. Observers do
-/// not disturb the execution, so the milestones are identical for any
-/// `options`.
+/// [`Instruments`]); its horizon and stop rule do not apply, and only its
+/// recording outlives the run (no validator verdict or metrics are
+/// returned). Observers do not disturb the execution, so the milestones
+/// are identical for any `options`.
 pub fn run_instrumented<P: Policy>(
     dual: &DualGraph,
     config: MacConfig,
@@ -60,7 +53,7 @@ pub fn run_instrumented<P: Policy>(
     seed: u64,
     policy: P,
     options: &RunOptions,
-) -> InstrumentedRun {
+) -> Milestones {
     assert!(config.is_enhanced(), "FMMB requires the enhanced model");
     let n = dual.len();
     let schedule = params.schedule(n);
@@ -134,11 +127,8 @@ pub fn run_instrumented<P: Policy>(
         }
     }
     milestones.mis_valid = algo::is_maximal_independent(dual.g(), &mis);
-    let report = instruments.finish(&mut rt, outcome);
-    InstrumentedRun {
-        milestones,
-        capture: super::capture(report.trace, report.validation),
-    }
+    instruments.finish(&mut rt, outcome);
+    milestones
 }
 
 /// One row of the MIS sweep (aggregated over seeds × trials).
@@ -286,21 +276,21 @@ pub fn run(
                 // is the first seed's run — a *representative* execution of
                 // this point's trial, unlike the other sweeps where the
                 // trace is exactly the run behind the statistic.
-                let mut capture = None;
                 for (si, &seed) in seeds.iter().enumerate() {
-                    let traced = run_instrumented(
+                    let options = if si == 0 {
+                        super::cell_options(cell)
+                    } else {
+                        RunOptions::fast()
+                    };
+                    let m = run_instrumented(
                         &net.dual,
                         cfg,
                         &assignment,
                         params,
                         seed ^ setup.salt,
                         amac_mac::policies::LazyPolicy::new(),
-                        &super::cell_options(cell.capture_requested() && si == 0),
+                        &options,
                     );
-                    let m = traced.milestones;
-                    if si == 0 {
-                        capture = traced.capture;
-                    }
                     decided_sum += m.all_decided_round.unwrap_or(m.mis_segment_rounds) as f64;
                     valid += usize::from(m.mis_valid);
                 }
@@ -309,20 +299,18 @@ pub fn run(
                     valid as f64 / seeds.len() as f64,
                     params.schedule(n).mis_rounds() as f64,
                 ])
-                .with_capture(capture)
             } else if cell.point < ns.len() + ks.len() {
                 // --- SUB-GATHER: sweep k on the fixed network ---
                 let (params, assignment) = &setup.gather[cell.point - ns.len()];
-                let traced = run_instrumented(
+                let m = run_instrumented(
                     &setup.gather_net.dual,
                     cfg,
                     assignment,
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    &super::cell_options(cell.capture_requested()),
+                    &super::cell_options(cell),
                 );
-                let m = traced.milestones;
                 // Unreached milestone: record NaN, not a huge finite
                 // sentinel — Welford propagates it, so the mean/ci95 cells
                 // print `NaN`, an explicit failure marker instead of a
@@ -331,21 +319,20 @@ pub fn run(
                     .gather_done_round
                     .map(|g| g.saturating_sub(m.gather_start_round) as f64)
                     .unwrap_or(f64::NAN);
-                CellResult::scalar(used).with_capture(traced.capture)
+                CellResult::scalar(used)
             } else {
                 // --- SUB-SPREAD: sweep n (D grows with sqrt n) ---
                 let idx = cell.point - ns.len() - ks.len();
                 let (net, d, params, assignment) = &setup.spread[idx];
-                let traced = run_instrumented(
+                let m = run_instrumented(
                     &net.dual,
                     cfg,
                     assignment,
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    &super::cell_options(cell.capture_requested()),
+                    &super::cell_options(cell),
                 );
-                let m = traced.milestones;
                 // NaN on an unreached milestone, as in the gather sweep.
                 let used = match (m.completion_round, m.gather_done_round) {
                     (Some(c), Some(g)) => c.saturating_sub(g) as f64,
@@ -357,7 +344,6 @@ pub fn run(
                     *d as f64,
                     ((*d as u64 + k_fixed as u64) * lg) as f64,
                 ])
-                .with_capture(traced.capture)
             }
         },
     );
@@ -515,8 +501,7 @@ mod tests {
             3,
             amac_mac::policies::LazyPolicy::new(),
             &RunOptions::fast(),
-        )
-        .milestones;
+        );
         assert!(m.mis_valid);
         assert!(m.all_decided_round.is_some());
         assert!(m.gather_done_round.is_some());

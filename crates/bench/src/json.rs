@@ -10,27 +10,8 @@
 
 use crate::engine::TrialRunner;
 use crate::table::Table;
+use amac_obs::json::escape;
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal (control characters, quotes,
-/// backslashes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn string_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
     let body: Vec<String> = items
@@ -226,15 +207,6 @@ mod tests {
         assert!(doc.contains("\"fixture\": null"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
         assert_eq!(doc.matches('[').count(), doc.matches(']').count());
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(escape("plain"), "plain");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! and `jobs = 8` — worker scheduling must never leak into results.
 
 use amac_bench::engine::TrialRunner;
-use amac_bench::experiments;
+use amac_bench::experiments::{self, LabeledOutlier};
+use amac_store::{replay_validate, TraceReader};
+use std::path::PathBuf;
 
 fn assert_jobs_invariant(render: impl Fn(&TrialRunner) -> String, label: &str) {
     let serial = render(&TrialRunner::new(4, 1));
@@ -88,7 +90,7 @@ fn consensus_crash_tables_are_jobs_invariant() {
                 &[8],
                 0.25,
                 13,
-                &r.with_plots(true),
+                &r.clone().with_plots(true),
             )
             .table
             .to_string()
@@ -101,7 +103,7 @@ fn consensus_crash_tables_are_jobs_invariant() {
 fn election_tables_are_jobs_invariant() {
     assert_jobs_invariant(
         |r| {
-            experiments::election::run(2, 12, 24, &[10, 14], 2.0, 17, &r.with_plots(true))
+            experiments::election::run(2, 12, 24, &[10, 14], 2.0, 17, &r.clone().with_plots(true))
                 .table
                 .to_string()
         },
@@ -154,34 +156,108 @@ fn adaptive_mode_stops_low_variance_sweeps_early() {
     assert!(res.r_sweep[0].measured.trials < runner.max_trials() as u64);
 }
 
+/// A fresh, existing capture directory for one test.
+fn capture_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "amac-bench-determinism-{tag}-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
 fn captured_outlier_traces_pass_the_validator() {
-    // The engine replays each point's min/median/max trial with trace
-    // recording; the live validator must find every replayed execution
-    // conforming to the MAC model. FMMB runs through `run_fmmb`, the
-    // subroutines through their own round-stepping runner.
-    let runner = TrialRunner::new(2, 2).with_trace_capture(true);
-    let fmmb = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &runner);
-    let sub = experiments::subroutines::run(2, &[8], &[1], 2.0, &[1], &runner);
+    // The engine replays each point's min/median/max trial with its
+    // execution recorded; replaying every recording through a fresh
+    // validator must find it non-empty and conforming to the MAC model.
+    // FMMB runs through `run_fmmb`, the subroutines through their own
+    // round-stepping runner.
+    let dir = capture_dir("capture");
+    let (fmmb_dir, sub_dir) = (dir.join("fmmb"), dir.join("sub"));
+    for d in [&fmmb_dir, &sub_dir] {
+        std::fs::create_dir_all(d).unwrap();
+    }
+    let runner = TrialRunner::new(2, 2);
+    let fmmb = experiments::fig1_fmmb::run(
+        2,
+        &[8],
+        12,
+        &[12],
+        2.0,
+        2,
+        5,
+        &runner.clone().with_trace_capture(&fmmb_dir),
+    );
+    let sub = experiments::subroutines::run(
+        2,
+        &[8],
+        &[1],
+        2.0,
+        &[1],
+        &runner.clone().with_trace_capture(&sub_dir),
+    );
     for outliers in [&fmmb.outliers, &sub.outliers] {
         assert!(!outliers.is_empty(), "capture must retain outliers");
         for o in outliers {
-            assert!(!o.outlier.trace.is_empty(), "{}: empty trace", o.label);
-            let verdict = o
-                .outlier
-                .validation
-                .as_ref()
-                .expect("capture replays validate");
-            assert!(verdict.is_ok(), "{}: {verdict}", o.label);
+            let summary = TraceReader::open(&o.outlier.path)
+                .and_then(replay_validate)
+                .unwrap_or_else(|e| panic!("{}: {e}", o.label));
+            assert!(summary.events > 0, "{}: empty recording", o.label);
+            assert!(
+                summary.validation.is_ok(),
+                "{}: {}",
+                o.label,
+                summary.validation
+            );
         }
     }
     // Capture itself must not perturb measurements: same sweeps without
     // capture render the identical tables.
-    let plain = TrialRunner::new(2, 2);
-    let fmmb_plain = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &plain);
+    let fmmb_plain = experiments::fig1_fmmb::run(2, &[8], 12, &[12], 2.0, 2, 5, &runner);
     assert_eq!(fmmb.table.to_string(), fmmb_plain.table.to_string());
-    let sub_plain = experiments::subroutines::run(2, &[8], &[1], 2.0, &[1], &plain);
+    let sub_plain = experiments::subroutines::run(2, &[8], &[1], 2.0, &[1], &runner);
     assert_eq!(sub.table.to_string(), sub_plain.table.to_string());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn captured_recordings_are_identical_across_job_counts() {
+    // The recordings are a pure function of the replayed cells, so one
+    // worker and two must dump the same files with the same bytes.
+    let dir = capture_dir("capture-jobs");
+    let dump = |jobs: usize| -> Vec<(PathBuf, Vec<u8>)> {
+        let out = dir.join(format!("jobs{jobs}"));
+        let runner = |id: &str| {
+            std::fs::create_dir_all(out.join(id)).unwrap();
+            TrialRunner::new(3, jobs).with_trace_capture(out.join(id))
+        };
+        let fmmb = experiments::fig1_fmmb::run(2, &[8, 32], 12, &[12], 2.0, 2, 5, &runner("fmmb"));
+        let cons =
+            experiments::consensus_crash::run(2, 12, 10, &[0.3], &[8], 0.25, 13, &runner("cons"));
+        let mut paths: Vec<PathBuf> = [fmmb.outliers, cons.outliers]
+            .iter()
+            .flatten()
+            .map(|o: &LabeledOutlier| o.outlier.path.clone())
+            .collect();
+        paths.sort();
+        paths.dedup();
+        paths
+            .into_iter()
+            .map(|path| {
+                let bytes = std::fs::read(&path).unwrap();
+                (path.strip_prefix(&out).unwrap().to_path_buf(), bytes)
+            })
+            .collect()
+    };
+    let (serial, parallel) = (dump(1), dump(2));
+    assert!(!serial.is_empty());
+    assert_eq!(
+        serial, parallel,
+        "jobs=1 and jobs=2 must dump byte-identical recordings"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Drops the named columns from a rendered table, keeping everything else

@@ -129,28 +129,31 @@ mod tests {
     use super::*;
     use crate::mmb::Assignment;
     use amac_graph::{generators, DualGraph, NodeId};
-    use amac_mac::{policies, validate, MacConfig, Runtime};
+    use amac_mac::trace::Trace;
+    use amac_mac::{policies, validate, MacConfig, Runtime, TraceObserver};
 
     fn run_line(
         n: usize,
         assignment: &Assignment,
         policy: impl amac_mac::Policy,
-    ) -> Runtime<Bmmb, impl amac_mac::Policy> {
+    ) -> (Runtime<Bmmb, impl amac_mac::Policy>, Trace) {
         let dual = DualGraph::reliable(generators::line(n).unwrap());
         let cfg = MacConfig::from_ticks(2, 24);
         let nodes = (0..n).map(|_| Bmmb::new()).collect();
-        let mut rt = Runtime::new(dual, cfg, nodes, policy).tracing();
+        let mut rt = Runtime::new(dual, cfg, nodes, policy);
+        let tracer = rt.attach(TraceObserver::new());
         for (node, msg) in assignment.arrivals() {
             rt.inject(*node, *msg);
         }
         rt.run();
-        rt
+        let trace = rt.detach(tracer).into_trace();
+        (rt, trace)
     }
 
     #[test]
     fn single_message_floods_line() {
         let a = Assignment::all_at(NodeId::new(0), 1);
-        let rt = run_line(8, &a, policies::EagerPolicy::new());
+        let (rt, _) = run_line(8, &a, policies::EagerPolicy::new());
         for i in 0..8 {
             assert!(rt.node(NodeId::new(i)).has_received(MessageId(0)));
             assert!(rt.node(NodeId::new(i)).has_sent(MessageId(0)));
@@ -162,7 +165,7 @@ mod tests {
     #[test]
     fn duplicates_are_discarded() {
         let a = Assignment::all_at(NodeId::new(0), 1);
-        let rt = run_line(4, &a, policies::EagerPolicy::new());
+        let (rt, _) = run_line(4, &a, policies::EagerPolicy::new());
         // Exactly one deliver output per node despite multiple receptions.
         assert_eq!(rt.outputs().len(), 4);
         assert_eq!(rt.node(NodeId::new(1)).received_count(), 1);
@@ -171,10 +174,9 @@ mod tests {
     #[test]
     fn multiple_messages_complete_under_lazy_scheduler() {
         let a = Assignment::all_at(NodeId::new(0), 3);
-        let rt = run_line(5, &a, policies::LazyPolicy::new().prefer_duplicates());
+        let (rt, trace) = run_line(5, &a, policies::LazyPolicy::new().prefer_duplicates());
         assert_eq!(rt.outputs().len(), 15);
-        let trace = rt.trace().unwrap();
-        let report = validate(trace, rt.dual(), rt.config(), true);
+        let report = validate(&trace, rt.dual(), rt.config(), true);
         assert!(report.is_ok(), "{report}");
     }
 
@@ -183,7 +185,7 @@ mod tests {
         // All messages at node 0; acks must pop in FIFO order (checked by
         // the debug_assert in on_ack) and the sent set must fill up.
         let a = Assignment::all_at(NodeId::new(0), 5);
-        let rt = run_line(3, &a, policies::RandomPolicy::new(7));
+        let (rt, _) = run_line(3, &a, policies::RandomPolicy::new(7));
         let n0 = rt.node(NodeId::new(0));
         assert_eq!(n0.sent_count(), 5);
         assert_eq!(n0.queue_len(), 0);
@@ -219,8 +221,8 @@ mod tests {
             cfg,
             nodes,
             policies::EagerPolicy::new().with_unreliable(1.0, 5),
-        )
-        .tracing();
+        );
+        let tracer = rt.attach(TraceObserver::new());
         rt.inject(
             NodeId::new(0),
             MmbMessage {
@@ -230,7 +232,7 @@ mod tests {
         );
         rt.run();
         assert_eq!(rt.outputs().len(), 10);
-        let report = validate(rt.trace().unwrap(), &dual, rt.config(), true);
+        let report = validate(rt.observer(&tracer).trace(), &dual, rt.config(), true);
         assert!(report.is_ok(), "{report}");
     }
 }

@@ -71,11 +71,6 @@ impl FmmbReport {
     pub fn completion_ticks(&self) -> u64 {
         self.completion.expect("FMMB run did not complete").ticks()
     }
-
-    /// Completion time converted to lock-step rounds of `F_prog + 2` ticks.
-    pub fn completion_rounds(&self, config: &MacConfig) -> u64 {
-        self.completion_ticks() / (config.f_prog().ticks() + 2)
-    }
 }
 
 impl fmt::Display for FmmbReport {

@@ -90,12 +90,6 @@ impl FmmbParams {
         self
     }
 
-    /// Overrides the activation probability.
-    pub fn with_activation_probability(mut self, p: f64) -> FmmbParams {
-        self.activation_probability = p;
-        self
-    }
-
     /// Scales every segment by roughly `scale` (trade success probability
     /// for runtime in stress tests).
     pub fn scaled(mut self, scale: f64) -> FmmbParams {

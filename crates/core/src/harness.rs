@@ -25,8 +25,10 @@ pub struct RunOptions {
     /// it is cheap enough to leave on for large sweeps.
     pub validate: bool,
     /// Attach a [`TraceObserver`] and return the recorded [`Trace`] in the
-    /// report (for post-mortem inspection of outlier executions). This is
-    /// the only option that retains O(events) state.
+    /// report, for callers that consume the whole execution in memory
+    /// (the model checker fingerprints every schedule's event stream).
+    /// This is the only option that retains O(events) state; to keep an
+    /// execution past the run, [`record`](RunOptions::record) it instead.
     pub keep_trace: bool,
     /// Stop as soon as the MMB problem is solved (all required deliveries
     /// happened) instead of running the algorithm to quiescence.
@@ -75,9 +77,9 @@ impl RunOptions {
     }
 
     /// Keeps the recorded trace in the report **and** validates the
-    /// execution — the post-mortem bundle the experiment engine captures
-    /// for outlier trials (the trace to inspect, the validation verdict
-    /// alongside).
+    /// execution. The model checker (`amac-check`) runs every schedule
+    /// this way: it fingerprints the in-memory trace and judges the run by
+    /// the verdict alongside, with no file per schedule.
     pub fn capturing_trace(mut self) -> RunOptions {
         self.keep_trace = true;
         self.validate = true;

@@ -7,7 +7,7 @@ use crate::geometry::Embedding;
 use crate::graph::Graph;
 use crate::node::NodeId;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dual graph `(G, G′)` with the invariant `E ⊆ E′`.
 ///
@@ -20,6 +20,9 @@ use std::sync::Arc;
 /// neighborhoods accordingly.
 ///
 /// `DualGraph` is cheaply cloneable (the layers are shared via [`Arc`]).
+/// The diameter of `G` costs an all-pairs BFS, so it is computed on the
+/// first [`diameter`](DualGraph::diameter) call and cached for every
+/// clone.
 ///
 /// # Examples
 ///
@@ -43,42 +46,20 @@ pub struct DualGraph {
     g_prime: Arc<Graph>,
     /// `G′ \ G` adjacency, precomputed per node.
     extra: Arc<Vec<Vec<NodeId>>>,
-    /// Cached diameter of `G`.
-    diameter: usize,
+    /// Diameter of `G`, computed on first use.
+    diameter: Arc<OnceLock<usize>>,
 }
 
 impl DualGraph {
     /// Creates a dual graph after validating `E ⊆ E′` and matching node
-    /// counts.
+    /// counts. The diameter of `G` is left to the first
+    /// [`diameter`](DualGraph::diameter) call.
     ///
     /// # Errors
     ///
     /// [`GraphError::NodeCountMismatch`] if the layers have different sizes;
     /// [`GraphError::NotSupergraph`] if a reliable edge is absent from `G′`.
     pub fn new(g: Graph, g_prime: Graph) -> Result<DualGraph, GraphError> {
-        let diameter = algo::diameter(&g);
-        DualGraph::with_diameter(g, g_prime, diameter)
-    }
-
-    /// Creates a dual graph like [`DualGraph::new`] but trusting a
-    /// caller-supplied diameter for `G`, skipping the all-pairs BFS.
-    ///
-    /// `DualGraph::new` costs `O(n · |E|)` to compute the diameter, which is
-    /// prohibitive for the 10⁵–10⁶-node networks of the `scale` sweep.
-    /// Generators whose topology has an analytically known diameter
-    /// (e.g. [`crate::generators::grid_grey_zone_network`]) use this
-    /// constructor instead. The supergraph invariant is still validated; the
-    /// diameter is not (callers must supply the exact value, since the MMB
-    /// bound checks depend on it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DualGraph::new`].
-    pub fn with_diameter(
-        g: Graph,
-        g_prime: Graph,
-        diameter: usize,
-    ) -> Result<DualGraph, GraphError> {
         if g.len() != g_prime.len() {
             return Err(GraphError::NodeCountMismatch {
                 g: g.len(),
@@ -97,8 +78,35 @@ impl DualGraph {
             g: Arc::new(g),
             g_prime: Arc::new(g_prime),
             extra: Arc::new(extra),
-            diameter,
+            diameter: Arc::new(OnceLock::new()),
         })
+    }
+
+    /// Creates a dual graph like [`DualGraph::new`] but trusting a
+    /// caller-supplied diameter for `G`, so [`diameter`](DualGraph::diameter)
+    /// never runs the all-pairs BFS.
+    ///
+    /// Computing the diameter costs `O(n · |E|)`, which is prohibitive for
+    /// the 10⁵–10⁶-node networks of the `scale` sweep. Generators whose
+    /// topology has an analytically known diameter
+    /// (e.g. [`crate::generators::grid_grey_zone_network`]) use this
+    /// constructor instead. The supergraph invariant is still validated; the
+    /// diameter is not (callers must supply the exact value, since the MMB
+    /// bound checks depend on it).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DualGraph::new`].
+    pub fn with_diameter(
+        g: Graph,
+        g_prime: Graph,
+        diameter: usize,
+    ) -> Result<DualGraph, GraphError> {
+        let dual = DualGraph::new(g, g_prime)?;
+        dual.diameter
+            .set(diameter)
+            .expect("a new dual graph has no cached diameter");
+        Ok(dual)
     }
 
     /// Creates the reliable-only dual graph `G′ = G` (the strong assumption
@@ -128,9 +136,10 @@ impl DualGraph {
         self.g.is_empty()
     }
 
-    /// Cached diameter `D` of the reliable layer `G`.
+    /// Diameter `D` of the reliable layer `G`, computed by an all-pairs
+    /// BFS on the first call and cached.
     pub fn diameter(&self) -> usize {
-        self.diameter
+        *self.diameter.get_or_init(|| algo::diameter(&self.g))
     }
 
     /// Reliable (`G`) neighbors of `v`.
@@ -227,7 +236,7 @@ impl fmt::Debug for DualGraph {
             .field("nodes", &self.len())
             .field("reliable_edges", &self.g.edge_count())
             .field("unreliable_edges", &self.unreliable_edge_count())
-            .field("diameter", &self.diameter)
+            .field("diameter", &self.diameter.get())
             .finish()
     }
 }

@@ -110,11 +110,6 @@ impl RngSource {
             rng: SimRng::seed(seed),
         }
     }
-
-    /// Wraps an existing generator (e.g. a [`SimRng::split`] stream).
-    pub fn from_rng(rng: SimRng) -> RngSource {
-        RngSource { rng }
-    }
 }
 
 impl ChoiceSource for RngSource {
@@ -171,11 +166,6 @@ impl<C: ChoiceSource> ChoicePolicy<C> {
     /// The wrapped source.
     pub fn source(&self) -> &C {
         &self.source
-    }
-
-    /// Unwraps the source.
-    pub fn into_source(self) -> C {
-        self.source
     }
 }
 

@@ -11,11 +11,11 @@
 //! Three observers ship with this crate:
 //!
 //! * [`TraceObserver`] — records the full [`Trace`], O(events) memory; the
-//!   pre-observer default behaviour, now opt-in. Attach it (or use
-//!   [`Runtime::tracing`](crate::Runtime::tracing)) when you need
-//!   `--dump-traces` output, hand inspection, or a trace for the
-//!   reference [`validate`](crate::validate) that tests compare the
-//!   streaming validator against.
+//!   pre-observer default behaviour, now opt-in. Attach it when you need
+//!   the whole execution in memory: the model checker's per-schedule
+//!   fingerprints, `repro replay --observer trace`, hand inspection, or a
+//!   trace for the reference [`validate`](crate::validate) that tests
+//!   compare the streaming validator against.
 //! * [`CounterObserver`] — per-kind event counts, O(1) memory.
 //! * [`OnlineValidator`](crate::OnlineValidator) — checks the five MAC
 //!   guarantees *while the execution runs*, with memory proportional to
@@ -84,7 +84,7 @@ pub(crate) struct ObserverSet {
 
 impl ObserverSet {
     #[cfg(test)]
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.observers.iter().all(Option::is_none)
     }
 
@@ -114,29 +114,6 @@ impl ObserverSet {
             .unwrap_or_else(|_| panic!("observer handle type matches the attached observer"))
     }
 
-    /// First attached observer of type `O`, if any (used by the
-    /// [`Runtime::trace`](crate::Runtime::trace) convenience accessors).
-    pub(crate) fn find<O: Observer>(&self) -> Option<&O> {
-        self.observers
-            .iter()
-            .flatten()
-            .find_map(|boxed| (boxed.as_ref() as &dyn Any).downcast_ref::<O>())
-    }
-
-    /// Takes the first attached observer of type `O` out of the set.
-    pub(crate) fn take_first<O: Observer>(&mut self) -> Option<O> {
-        let index = self.observers.iter().position(|slot| {
-            slot.as_ref()
-                .is_some_and(|boxed| (boxed.as_ref() as &dyn Any).is::<O>())
-        })?;
-        let boxed = self.observers[index].take().expect("slot checked above");
-        Some(
-            *(boxed as Box<dyn Any>)
-                .downcast::<O>()
-                .unwrap_or_else(|_| panic!("type checked above")),
-        )
-    }
-
     #[inline]
     pub(crate) fn emit(&mut self, event: &TraceEntry) {
         for observer in self.observers.iter_mut().flatten() {
@@ -155,7 +132,7 @@ impl ObserverSet {
 /// Records the full execution [`Trace`] — the pre-observer default
 /// behaviour, now opt-in. O(events) memory; attach it only when a surface
 /// actually consumes the trace (post-hoc [`validate`](crate::validate),
-/// outlier dumps, hand-built-trace comparisons).
+/// schedule fingerprints, hand-built-trace comparisons).
 ///
 /// # Examples
 ///
@@ -319,22 +296,12 @@ mod tests {
         assert!(!set.is_empty());
         set.emit(&entry(TraceKind::Bcast, 0));
         assert_eq!(set.get(&counters).total(), 1);
-        assert_eq!(set.find::<TraceObserver>().unwrap().trace().len(), 1);
+        assert_eq!(set.get(&tracer).trace().len(), 1);
         let taken = set.detach(tracer);
         assert_eq!(taken.trace().len(), 1);
-        assert!(set.find::<TraceObserver>().is_none());
         // The counter handle survives the tracer's detach.
         set.emit(&entry(TraceKind::Ack, 1));
         assert_eq!(set.detach(counters).total(), 2);
         assert!(set.is_empty());
-    }
-
-    #[test]
-    fn observer_set_take_first_by_type() {
-        let mut set = ObserverSet::default();
-        set.attach(TraceObserver::new());
-        assert!(set.take_first::<CounterObserver>().is_none());
-        assert!(set.take_first::<TraceObserver>().is_some());
-        assert!(set.take_first::<TraceObserver>().is_none());
     }
 }

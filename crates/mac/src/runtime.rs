@@ -36,10 +36,12 @@
 //!
 //! The runtime does not retain any view of its own execution. Every
 //! MAC-level event is emitted to the attached [`Observer`]s (see
-//! [`observer`](crate::observer)): attach a [`TraceObserver`] for the full
-//! [`Trace`], an [`OnlineValidator`](crate::OnlineValidator) for streaming
-//! conformance checking, or any custom observer. With no observers
-//! attached, the hot path records nothing.
+//! [`observer`](crate::observer)): attach a
+//! [`TraceObserver`](crate::TraceObserver) for the full
+//! [`Trace`](crate::trace::Trace), an
+//! [`OnlineValidator`](crate::OnlineValidator) for streaming conformance
+//! checking, or any custom observer. With no observers attached, the hot
+//! path records nothing.
 //!
 //! ## Memory
 //!
@@ -53,9 +55,9 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::instance::InstanceId;
 use crate::message::{MacMessage, MessageKey};
 use crate::node::{Automaton, Command, Ctx};
-use crate::observer::{Observer, ObserverHandle, ObserverSet, TraceObserver};
+use crate::observer::{Observer, ObserverHandle, ObserverSet};
 use crate::policy::{BcastInfo, ForcedCandidate, Policy, PolicyCtx};
-use crate::trace::{Trace, TraceEntry, TraceKind};
+use crate::trace::{TraceEntry, TraceKind};
 use amac_graph::{DualGraph, NodeId};
 use amac_sim::stats::Counters;
 use amac_sim::{Duration, EventId, EventQueue, FastHashMap, FastHashSet, Time};
@@ -229,10 +231,9 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     /// Creates a runtime over `dual` with one automaton per node.
     ///
     /// No observers are attached: the execution records nothing about
-    /// itself. Attach a [`TraceObserver`] (or call
-    /// [`tracing`](Runtime::tracing)) for a full trace, or an
-    /// [`OnlineValidator`](crate::OnlineValidator) for streaming
-    /// conformance checking.
+    /// itself. Attach a [`TraceObserver`](crate::TraceObserver) for a full
+    /// trace, or an [`OnlineValidator`](crate::OnlineValidator) for
+    /// streaming conformance checking.
     ///
     /// # Panics
     ///
@@ -300,15 +301,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         self.observers.detach(handle)
     }
 
-    /// Convenience builder: attaches a [`TraceObserver`] so the execution
-    /// records a full [`Trace`], retrievable via [`trace`](Runtime::trace)
-    /// or [`into_trace`](Runtime::into_trace) — the historical default
-    /// behaviour, now opt-in.
-    pub fn tracing(mut self) -> Self {
-        self.attach(TraceObserver::new());
-        self
-    }
-
     /// Sets the safety cap on processed events (default 2·10⁸).
     pub fn with_event_limit(mut self, limit: u64) -> Self {
         self.event_limit = limit;
@@ -369,14 +361,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     /// counters (a per-event string-keyed map lookup was measurable).
     pub fn counters(&self) -> Counters {
         self.counters.materialize()
-    }
-
-    /// The trace recorded by an attached [`TraceObserver`], if any (see
-    /// [`tracing`](Runtime::tracing)).
-    pub fn trace(&self) -> Option<&Trace> {
-        self.observers
-            .find::<TraceObserver>()
-            .map(TraceObserver::trace)
     }
 
     /// `true` while `node` is crashed (between an applied crash and any
@@ -504,14 +488,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     /// Runs to quiescence (bounded by the event-count safety cap).
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(Time::MAX)
-    }
-
-    /// Consumes the runtime, returning the trace recorded by an attached
-    /// [`TraceObserver`] (if any).
-    pub fn into_trace(mut self) -> Option<Trace> {
-        self.observers
-            .take_first::<TraceObserver>()
-            .map(TraceObserver::into_trace)
     }
 
     // ------------------------------------------------------------------
@@ -926,7 +902,7 @@ impl<A: Automaton, P: Policy> fmt::Debug for Runtime<A, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::CounterObserver;
+    use crate::observer::{CounterObserver, TraceObserver};
     use crate::policies::{EagerPolicy, LazyPolicy, RandomPolicy};
     use amac_graph::generators;
     use amac_sim::SimRng;
@@ -1002,9 +978,10 @@ mod tests {
     fn trace_is_recorded_and_consistent() {
         let dual = line_dual(5);
         let cfg = MacConfig::from_ticks(2, 16);
-        let mut rt = Runtime::new(dual, cfg, flooders(5), EagerPolicy::new()).tracing();
+        let mut rt = Runtime::new(dual, cfg, flooders(5), EagerPolicy::new());
+        let tracer = rt.attach(TraceObserver::new());
         rt.run();
-        let trace = rt.trace().unwrap();
+        let trace = rt.observer(&tracer).trace();
         assert_eq!(trace.count(TraceKind::Bcast), 5);
         assert_eq!(trace.count(TraceKind::Ack), 5);
         assert!(trace.count(TraceKind::Rcv) >= 4);
@@ -1068,8 +1045,7 @@ mod tests {
         let cfg = MacConfig::from_ticks(2, 16);
         let mut rt = Runtime::new(dual, cfg, flooders(3), EagerPolicy::new());
         rt.run();
-        assert!(rt.trace().is_none(), "tracing is opt-in");
-        assert!(rt.into_trace().is_none());
+        assert!(rt.observers.is_empty(), "tracing is opt-in");
     }
 
     #[test]
@@ -1197,11 +1173,12 @@ mod tests {
                 aborted: false,
             },
         ];
-        let mut rt = Runtime::new(dual, cfg, nodes, crate::policies::LazyPolicy::new()).tracing();
+        let mut rt = Runtime::new(dual, cfg, nodes, crate::policies::LazyPolicy::new());
+        let tracer = rt.attach(TraceObserver::new());
         rt.run();
         assert!(rt.node(NodeId::new(0)).fired);
         assert!(rt.node(NodeId::new(0)).aborted);
-        let trace = rt.trace().unwrap();
+        let trace = rt.observer(&tracer).trace();
         assert_eq!(trace.count(TraceKind::Abort), 1);
         assert_eq!(trace.count(TraceKind::Ack), 0);
     }
@@ -1220,14 +1197,14 @@ mod tests {
             flooders(5),
             crate::policies::LazyPolicy::new(),
         )
-        .tracing()
         .with_faults(plan);
+        let tracer = rt.attach(TraceObserver::new());
         assert_eq!(rt.run(), RunOutcome::Idle);
         assert_eq!(rt.outputs().len(), 1, "only the source itself delivered");
         assert!(rt.is_crashed(NodeId::new(0)));
         assert_eq!(rt.counters().get("crash"), 1);
         assert_eq!(rt.counters().get("rcv"), 0);
-        let trace = rt.trace().unwrap();
+        let trace = rt.observer(&tracer).trace();
         assert_eq!(trace.faults().len(), 1);
         assert_eq!(trace.count(TraceKind::Ack), 0);
         let report = crate::validate(trace, &dual, &cfg, true);
@@ -1250,13 +1227,13 @@ mod tests {
             nodes,
             EagerPolicy::new().with_delivery_delay(Duration::from_ticks(1)),
         )
-        .tracing()
         .with_faults(plan);
+        let tracer = rt.attach(TraceObserver::new());
         rt.run();
         // Same-tick ordering: deliveries at t=1 were scheduled before the
         // crash at t=1, so the leaves hear the token; the ack (t=2) does
         // not fire.
-        let trace = rt.trace().unwrap();
+        let trace = rt.observer(&tracer).trace();
         assert_eq!(trace.of_kind(TraceKind::Rcv).count(), 3);
         assert_eq!(
             trace
@@ -1319,16 +1296,16 @@ mod tests {
             .crash_at(NodeId::new(1), Time::ZERO)
             .recover_at(NodeId::new(1), Time::from_ticks(20));
         let mut rt = Runtime::new(dual.clone(), cfg, nodes, EagerPolicy::new())
-            .tracing()
             .with_faults(plan)
             .with_event_limit(5_000);
+        let tracer = rt.attach(TraceObserver::new());
         rt.run_until(Time::from_ticks(40));
         let receiver = rt.node(NodeId::new(1));
         assert!(receiver.recovered, "on_recover must run");
         assert_eq!(receiver.got, Some(9), "catches up after recovery");
         let first_rcv = rt
+            .observer(&tracer)
             .trace()
-            .unwrap()
             .of_kind(TraceKind::Rcv)
             .map(|e| e.time)
             .next()

@@ -227,7 +227,7 @@ impl ValidationReport {
         &self.violations
     }
 
-    /// One-line verdict for table footers and trace-dump headers:
+    /// One-line verdict for table footers and replay summaries:
     /// `"ok"`, or the violation count.
     pub fn summary(&self) -> String {
         if self.is_ok() {

@@ -11,7 +11,7 @@ use amac_mac::policies::{EagerPolicy, RandomPolicy};
 use amac_mac::trace::Trace;
 use amac_mac::{
     Automaton, BcastInfo, BcastPlan, Ctx, ForcedCandidate, MacConfig, MacMessage, MessageKey,
-    Policy, PolicyCtx, Runtime,
+    Policy, PolicyCtx, Runtime, TraceObserver,
 };
 use amac_sim::{Duration, SimRng};
 use proptest::prelude::*;
@@ -148,9 +148,10 @@ fn chatters(n: usize, sources: usize) -> Vec<Chatter> {
 }
 
 fn run_trace(dual: &DualGraph, cfg: MacConfig, nodes: Vec<Chatter>, policy: impl Policy) -> Trace {
-    let mut rt = Runtime::new(dual.clone(), cfg, nodes, policy).tracing();
+    let mut rt = Runtime::new(dual.clone(), cfg, nodes, policy);
+    let tracer = rt.attach(TraceObserver::new());
     rt.run();
-    rt.into_trace().expect("tracing runtime keeps its trace")
+    rt.detach(tracer).into_trace()
 }
 
 proptest! {

@@ -10,7 +10,7 @@ use amac_mac::policies::{EagerPolicy, LazyPolicy, RandomPolicy};
 use amac_mac::trace::{Trace, TraceKind};
 use amac_mac::{
     validate, Automaton, Ctx, FaultKind, FaultPlan, MacConfig, MacMessage, MessageKey,
-    OnlineValidator, Policy, Runtime, ValidationReport,
+    OnlineValidator, Policy, Runtime, TraceObserver, ValidationReport,
 };
 use amac_sim::{SimRng, Time};
 use proptest::prelude::*;
@@ -88,13 +88,13 @@ fn run_with_plan_validated(
     plan: FaultPlan,
 ) -> (Trace, ValidationReport) {
     let mut rt = Runtime::new(dual.clone(), cfg, nodes, policy)
-        .tracing()
         .with_faults(plan)
         .with_event_limit(2_000_000);
+    let tracer = rt.attach(TraceObserver::new());
     let validator = rt.attach(OnlineValidator::new(dual.clone(), cfg));
     rt.run();
     let online = rt.detach(validator).into_report(true);
-    (rt.into_trace().expect("trace observer attached"), online)
+    (rt.detach(tracer).into_trace(), online)
 }
 
 fn run_with_plan(

@@ -4,7 +4,7 @@
 /// Escapes `s` for embedding in a JSON string literal: quotes,
 /// backslashes, the common control escapes, and `\u00XX` for the rest of
 /// the C0 range.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -21,11 +21,10 @@
 //! are specified in `docs/OBSERVABILITY.md`.
 
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod series;
 pub mod spans;
-
-mod json;
 
 pub use hist::Histogram;
 pub use metrics::{MetricsObserver, MetricsReport};

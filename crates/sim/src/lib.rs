@@ -17,7 +17,7 @@
 //! * [`SimRng`] — a splittable deterministic PRNG so each node and each
 //!   scheduler gets its own replayable random stream, mirroring the paper's
 //!   "random bits handed out at the start" convention;
-//! * [`stats`] — counters, online summaries and histograms for the
+//! * [`stats`] — counters, online summaries and trial aggregates for the
 //!   experiment harnesses.
 //!
 //! ## Example

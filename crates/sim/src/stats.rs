@@ -1,5 +1,5 @@
 //! Lightweight statistics for experiment harnesses: counters, online
-//! summaries, fixed-bucket histograms, and the streaming trial aggregates
+//! summaries, and the streaming trial aggregates
 //! ([`Aggregate`], [`Reservoir`]) used by the multi-trial experiment
 //! engine in `amac-bench`.
 
@@ -248,69 +248,6 @@ impl fmt::Display for Summary {
             self.min,
             self.max
         )
-    }
-}
-
-/// A histogram with uniform integer buckets of the given width, recording
-/// `u64` samples.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    width: u64,
-    buckets: BTreeMap<u64, u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with buckets `[0, width), [width, 2·width), …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn new(width: u64) -> Self {
-        assert!(width > 0, "bucket width must be positive");
-        Histogram {
-            width,
-            buckets: BTreeMap::new(),
-            count: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: u64) {
-        *self.buckets.entry(x / self.width).or_insert(0) += 1;
-        self.count += 1;
-    }
-
-    /// Total sample count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Iterates `(bucket_lower_bound, count)` in increasing order, skipping
-    /// empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(move |(b, c)| (b * self.width, *c))
-    }
-
-    /// The smallest value `v` such that at least `q` (in `[0,1]`) of samples
-    /// are `< v + width`; i.e. an upper bound of the quantile's bucket.
-    /// Returns `None` when empty.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (bucket, c) in &self.buckets {
-            acc += c;
-            if acc >= target {
-                return Some((bucket + 1) * self.width);
-            }
-        }
-        self.buckets
-            .keys()
-            .next_back()
-            .map(|b| (b + 1) * self.width)
     }
 }
 
@@ -668,34 +605,6 @@ mod tests {
         assert!((a.variance() - all.variance()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(10);
-        for x in [0, 5, 9, 10, 25, 25] {
-            h.record(x);
-        }
-        let buckets: Vec<(u64, u64)> = h.iter().collect();
-        assert_eq!(buckets, vec![(0, 3), (10, 1), (20, 2)]);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(1);
-        for x in 0..100u64 {
-            h.record(x);
-        }
-        assert_eq!(h.quantile_upper_bound(0.5), Some(50));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(100));
-        assert_eq!(Histogram::new(1).quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_width_panics() {
-        Histogram::new(0);
     }
 
     /// Welford (streaming) statistics must match a naive two-pass

@@ -211,6 +211,22 @@ mod tests {
     }
 
     #[test]
+    fn opening_a_large_sparse_recording_skips_the_diameter() {
+        // Nothing on the replay path reads the diameter of G, so opening a
+        // recording must not run the all-pairs BFS behind it: over this
+        // 10⁵-node line that BFS alone takes minutes.
+        let n = 100_000;
+        let line = generators::line(n).unwrap();
+        let dual = DualGraph::with_diameter(line.clone(), line, n - 1).unwrap();
+        let w = TraceWriter::new(Vec::new(), &dual, MacConfig::from_ticks(2, 8), 0, 0).unwrap();
+        let bytes = w.finish(true).unwrap();
+        let summary = replay_validate(TraceReader::new(bytes.as_slice()).unwrap()).unwrap();
+        assert_eq!(summary.header.nodes, n as u64);
+        assert_eq!(summary.events, 0);
+        assert!(summary.validation.is_ok());
+    }
+
+    #[test]
     fn unknown_tag_is_rejected() {
         let dual = DualGraph::reliable(generators::line(2).unwrap());
         let w = TraceWriter::new(Vec::new(), &dual, MacConfig::from_ticks(1, 4), 0, 0).unwrap();

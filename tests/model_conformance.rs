@@ -6,13 +6,16 @@ use amac::core::{Bmmb, MessageId, MmbMessage};
 use amac::graph::{generators, DualGraph, NodeId};
 use amac::mac::policies::{EagerPolicy, LazyPolicy, RandomPolicy};
 use amac::mac::trace::{Trace, TraceKind};
-use amac::mac::{validate, InstanceId, MacConfig, MessageKey, OnlineValidator, Runtime, Violation};
+use amac::mac::{
+    validate, InstanceId, MacConfig, MessageKey, OnlineValidator, Runtime, TraceObserver, Violation,
+};
 use amac::sim::{SimRng, Time};
 
 fn run_and_validate(dual: DualGraph, cfg: MacConfig, policy: impl amac::mac::Policy, k: usize) {
     let n = dual.len();
     let nodes = (0..n).map(|_| Bmmb::new()).collect();
-    let mut rt = Runtime::new(dual.clone(), cfg, nodes, policy).tracing();
+    let mut rt = Runtime::new(dual.clone(), cfg, nodes, policy);
+    let tracer = rt.attach(TraceObserver::new());
     let online = rt.attach(OnlineValidator::new(dual.clone(), cfg));
     for i in 0..k {
         rt.inject(
@@ -24,7 +27,7 @@ fn run_and_validate(dual: DualGraph, cfg: MacConfig, policy: impl amac::mac::Pol
         );
     }
     rt.run();
-    let report = validate(rt.trace().unwrap(), &dual, rt.config(), true);
+    let report = validate(rt.observer(&tracer).trace(), &dual, rt.config(), true);
     assert!(report.is_ok(), "{report}");
     // The streaming validator, fed the same execution live, agrees.
     let online = rt.detach(online).into_report(true);
@@ -72,7 +75,8 @@ fn grey_zone_adversary_runs_are_valid() {
     let cfg = MacConfig::from_ticks(3, 30);
     let nodes = (0..net.dual.len()).map(|_| Bmmb::new()).collect();
     let adversary = amac::lower::GreyZoneAdversary::new(12, MessageKey(0), MessageKey(1));
-    let mut rt = Runtime::new(net.dual.clone(), cfg, nodes, adversary).tracing();
+    let mut rt = Runtime::new(net.dual.clone(), cfg, nodes, adversary);
+    let tracer = rt.attach(TraceObserver::new());
     rt.inject(
         net.a(1),
         MmbMessage {
@@ -88,7 +92,7 @@ fn grey_zone_adversary_runs_are_valid() {
         },
     );
     rt.run();
-    let report = validate(rt.trace().unwrap(), &net.dual, rt.config(), true);
+    let report = validate(rt.observer(&tracer).trace(), &net.dual, rt.config(), true);
     assert!(report.is_ok(), "{report}");
 }
 
@@ -311,7 +315,8 @@ fn mutated_valid_trace_becomes_invalid() {
     let dual = line3();
     let cfg = base_cfg();
     let nodes = (0..3).map(|_| Bmmb::new()).collect::<Vec<_>>();
-    let mut rt = Runtime::new(dual.clone(), cfg, nodes, EagerPolicy::new()).tracing();
+    let mut rt = Runtime::new(dual.clone(), cfg, nodes, EagerPolicy::new());
+    let tracer = rt.attach(TraceObserver::new());
     rt.inject(
         NodeId::new(0),
         MmbMessage {
@@ -320,7 +325,7 @@ fn mutated_valid_trace_becomes_invalid() {
         },
     );
     rt.run();
-    let good = rt.trace().unwrap().clone();
+    let good = rt.detach(tracer).into_trace();
     assert!(validate(&good, &dual, &cfg, true).is_ok());
 
     // Rebuild the trace without the first Rcv entry.
