@@ -106,7 +106,7 @@ pub use config::{MacConfig, ModelVariant};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use instance::InstanceId;
 pub use message::{MacMessage, MessageKey};
-pub use node::{Automaton, Ctx, TimerId};
+pub use node::{Automaton, Ctx};
 pub use observer::{CounterObserver, Observer, ObserverHandle, TraceObserver};
 pub use online::{OnlineStats, OnlineValidator};
 pub use policy::{BcastInfo, BcastPlan, ForcedCandidate, Policy, PolicyCtx};

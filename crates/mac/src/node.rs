@@ -7,22 +7,13 @@ use amac_graph::{DualGraph, NodeId};
 use amac_sim::{Duration, Time};
 use std::fmt;
 
-/// Handle to a pending timer (enhanced model only).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
-
 /// A deferred effect requested by a node callback, applied by the runtime
 /// after the callback returns.
 #[derive(Debug)]
 pub(crate) enum Command<M, O> {
     Bcast(M),
     Abort,
-    SetTimer {
-        id: TimerId,
-        delay: Duration,
-        tag: u64,
-    },
-    CancelTimer(TimerId),
+    SetTimer { delay: Duration, tag: u64 },
     Output(O),
 }
 
@@ -44,7 +35,6 @@ pub struct Ctx<'a, M, O> {
     pub(crate) dual: &'a DualGraph,
     pub(crate) in_flight: bool,
     pub(crate) commands: Vec<Command<M, O>>,
-    pub(crate) next_timer: &'a mut u64,
 }
 
 impl<M, O> Ctx<'_, M, O> {
@@ -114,30 +104,17 @@ impl<M, O> Ctx<'_, M, O> {
         self.commands.push(Command::Abort);
     }
 
-    /// Sets a timer firing `delay` from now with the given `tag`, returning
-    /// a handle usable with [`cancel_timer`](Ctx::cancel_timer). Enhanced
-    /// model only.
+    /// Sets a timer firing `delay` from now with the given `tag`, delivered
+    /// to [`Automaton::on_timer`] (enhanced model only). A timer cannot be
+    /// cancelled: an automaton that no longer wants a firing ignores its
+    /// tag. A firing that falls in a crash outage is lost.
     ///
     /// # Panics
     ///
     /// Panics in the standard variant.
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
         self.require_enhanced("set_timer");
-        let id = TimerId(*self.next_timer);
-        *self.next_timer += 1;
-        self.commands.push(Command::SetTimer { id, delay, tag });
-        id
-    }
-
-    /// Cancels a pending timer (enhanced model only). Cancelling an already
-    /// fired or cancelled timer is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics in the standard variant.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.require_enhanced("cancel_timer");
-        self.commands.push(Command::CancelTimer(id));
+        self.commands.push(Command::SetTimer { delay, tag });
     }
 
     /// Emits a problem-level output event (e.g. an MMB `deliver`), recorded

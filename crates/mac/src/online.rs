@@ -19,9 +19,14 @@
 //!   clock passes its termination time by `F_ack` (the window within
 //!   which any straggler event of that instance must fall), so late
 //!   `rcv`s and double terminations are still classified exactly;
-//! * O(1) **progress state per receiver** (its live connected/protector
-//!   bookkeeping mirrors what the runtime itself maintains to *enforce*
-//!   the bound) plus a lazy deadline heap;
+//! * **progress state per receiver** (its connected live instances and
+//!   protector count mirror what the runtime itself maintains to
+//!   *enforce* the bound) plus **one armed deadline per receiver** in a
+//!   min-heap.
+//!   A receiver whose state changes is queued once per tick and its
+//!   deadline is recomputed when the clock moves, so a tick in which many
+//!   instances deliver and terminate pushes at most one heap entry per
+//!   receiver, however often its protection flips;
 //! * the (small) node fault log, and the violations found.
 //!
 //! Per-instance state is retired at termination; [`OnlineStats`] reports
@@ -102,8 +107,9 @@ struct RxState {
     /// this receiver, sorted by (start, id); an instance is removed at
     /// termination — or when a progress violation has been reported for
     /// this (instance, receiver) pair, so each pair reports at most once
-    /// (matching the post-hoc validator).
-    connected: Vec<(Time, InstanceId)>,
+    /// (matching the post-hoc validator). A deque because instances
+    /// retire roughly oldest first.
+    connected: VecDeque<(Time, InstanceId)>,
     /// Live instances that have delivered to this receiver. While any
     /// exists, no window can close uncovered.
     protectors: usize,
@@ -117,6 +123,9 @@ struct RxState {
     /// if any. Invariant: `armed == Some(d)` iff the heap holds a live
     /// `(d, receiver, epoch)` entry.
     armed: Option<Time>,
+    /// `true` while the receiver waits in the validator's `rearm_queue`
+    /// for its deadline to be recomputed when the clock moves.
+    queued: bool,
 }
 
 #[derive(Default)]
@@ -193,7 +202,11 @@ pub struct OnlineValidator {
     /// non-decreasing deadline order.
     retire_queue: VecDeque<(Time, InstanceId)>,
     rx: Vec<RxState>,
-    /// Lazy min-heap of `(deadline, receiver, epoch)` progress deadlines.
+    /// Receivers whose progress state changed in the current tick, each
+    /// once; armed when the clock moves.
+    rearm_queue: Vec<usize>,
+    /// Min-heap of `(deadline, receiver, epoch)` progress deadlines; an
+    /// entry whose epoch is no longer its receiver's is stale.
     deadlines: BinaryHeap<Reverse<(Time, usize, u64)>>,
     faults: Vec<NodeFaults>,
     crashed: Vec<bool>,
@@ -222,6 +235,7 @@ impl OnlineValidator {
             retired: FastHashMap::default(),
             retire_queue: VecDeque::new(),
             rx: (0..n).map(|_| RxState::default()).collect(),
+            rearm_queue: Vec::new(),
             deadlines: BinaryHeap::new(),
             faults: (0..n).map(|_| NodeFaults::default()).collect(),
             crashed: vec![false; n],
@@ -288,6 +302,7 @@ impl OnlineValidator {
     pub fn into_report(mut self, quiescent: bool) -> ValidationReport {
         // Progress windows that closed strictly before the horizon are
         // due; windows still open at the horizon are not judged.
+        self.arm_queued();
         self.fire_deadlines(self.horizon);
         if quiescent {
             let mut unterminated: Vec<InstanceId> = self.live.keys().copied().collect();
@@ -311,10 +326,14 @@ impl OnlineValidator {
         self.config.f_prog() + Duration::TICK
     }
 
-    /// Advances the stream clock to `t`: fires progress deadlines that
-    /// closed strictly before `t` and prunes retired instances whose
-    /// straggler window has passed.
+    /// Advances the stream clock to `t`: arms the deadlines of the
+    /// receivers whose state changed at the old clock, fires progress
+    /// deadlines that closed strictly before `t` and prunes retired
+    /// instances whose straggler window has passed.
     fn advance(&mut self, t: Time) {
+        if t > self.now {
+            self.arm_queued();
+        }
         self.fire_deadlines(t);
         while let Some(&(deadline, id)) = self.retire_queue.front() {
             if deadline >= t {
@@ -348,10 +367,11 @@ impl OnlineValidator {
                 window_start,
             });
             // One report per (instance, receiver) pair, like the post-hoc
-            // validator: this pair stops participating.
-            self.rx[j].connected.remove(0);
+            // validator: this pair stops participating. The next window
+            // may already have closed before `t`, so it is armed at once.
+            self.rx[j].connected.pop_front();
             self.rx[j].armed = None;
-            self.rearm(j);
+            self.arm(j);
         }
     }
 
@@ -359,14 +379,39 @@ impl OnlineValidator {
         if self.crashed[j] || self.rx[j].protectors > 0 {
             return None;
         }
-        let &(start, _) = self.rx[j].connected.first()?;
+        let &(start, _) = self.rx[j].connected.front()?;
         Some(start.max(self.rx[j].floor) + self.window())
+    }
+
+    /// Queues receiver `j`, once per tick, for [`arm`](Self::arm) when the
+    /// clock moves. Deferring is exact: outside `fire_deadlines` a
+    /// recomputed deadline never lies before the clock (a retire raises
+    /// the floor past it, a first connected instance starts at it, a
+    /// recovery raises the floor to it, and dropping the oldest connected
+    /// instance never lowers the deadline), and a deadline fires only once
+    /// the clock has moved past it — so only the receiver's state at the
+    /// end of the tick can fire.
+    fn rearm(&mut self, j: usize) {
+        if !self.rx[j].queued {
+            self.rx[j].queued = true;
+            self.rearm_queue.push(j);
+        }
+    }
+
+    /// Arms every queued receiver.
+    fn arm_queued(&mut self) {
+        let mut queue = std::mem::take(&mut self.rearm_queue);
+        for j in queue.drain(..) {
+            self.rx[j].queued = false;
+            self.arm(j);
+        }
+        self.rearm_queue = queue;
     }
 
     /// Recomputes receiver `j`'s deadline and re-arms the heap if it
     /// changed. A no-op when the armed deadline is already correct, so
     /// state churn that leaves the deadline alone costs nothing.
-    fn rearm(&mut self, j: usize) {
+    fn arm(&mut self, j: usize) {
         let deadline = self.deadline(j);
         if deadline == self.rx[j].armed {
             return;
@@ -500,23 +545,19 @@ impl OnlineValidator {
             });
         }
         if e.kind == TraceKind::Ack {
-            let (sender, start) = (inst.sender, inst.start);
-            let mut missing: Vec<NodeId> = Vec::new();
-            for &g_neighbor in self.dual.reliable_neighbors(sender) {
-                let delivered = self.live[&id].delivered.binary_search(&g_neighbor).is_ok();
+            for &receiver in self.dual.reliable_neighbors(inst.sender) {
                 // A receiver crashed at any point of the instance's
                 // lifetime is exempt: its delivery may have been silenced.
-                if !delivered && !self.faults[g_neighbor.index()].overlaps(start, e.time) {
-                    missing.push(g_neighbor);
+                if inst.delivered.binary_search(&receiver).is_err()
+                    && !self.faults[receiver.index()].overlaps(inst.start, e.time)
+                {
+                    self.violations.push(Violation::MissingReliableDelivery {
+                        instance: id,
+                        receiver,
+                    });
                 }
             }
-            for receiver in missing {
-                self.violations.push(Violation::MissingReliableDelivery {
-                    instance: id,
-                    receiver,
-                });
-            }
-            let delay = e.time.saturating_since(start).ticks();
+            let delay = e.time.saturating_since(inst.start).ticks();
             if delay > self.config.f_ack().ticks() {
                 self.violations.push(Violation::AckBoundExceeded {
                     instance: id,
@@ -904,6 +945,62 @@ mod tests {
         );
         let report = validator.into_report(true);
         assert!(report.is_ok(), "{report}");
+    }
+
+    #[test]
+    fn a_tick_of_protection_flips_arms_one_deadline_per_receiver() {
+        // On a complete graph every node broadcasts at t=0 and is protected
+        // by the end of the tick (instance 1 delivers to all, instance 2 to
+        // node 1). In the one tick t=1, instances 1..=40 each deliver to
+        // every other node and ack, so every receiver's protection flips
+        // off and on dozens of times while instance 0, delivered to nobody
+        // yet, keeps it connected.
+        let n = 41;
+        let dual = DualGraph::reliable(amac_graph::generators::complete(n).unwrap());
+        let cfg = MacConfig::from_ticks(4, 64);
+        let mut tr = Trace::new();
+        let mut at = |ticks: u64, inst: usize, node: usize, kind: TraceKind| {
+            let id = inst as u64;
+            push(&mut tr, ticks, id, node, kind, MessageKey(id));
+        };
+        for i in 0..n {
+            at(0, i, i, TraceKind::Bcast);
+        }
+        for j in (0..n).filter(|&j| j != 1) {
+            at(0, 1, j, TraceKind::Rcv);
+        }
+        at(0, 2, 1, TraceKind::Rcv);
+        for i in 1..n {
+            let early = |j: usize| i == 1 || (i == 2 && j == 1);
+            for j in (0..n).filter(|&j| j != i && !early(j)) {
+                at(1, i, j, TraceKind::Rcv);
+            }
+            at(1, i, i, TraceKind::Ack);
+        }
+        // Instance 0 covers half of its receivers in time; the rest starve
+        // past their deadline at t = 2 + F_prog + 1 and miss their reliable
+        // delivery.
+        for j in 1..=n / 2 {
+            at(3, 0, j, TraceKind::Rcv);
+        }
+        at(10, 0, 0, TraceKind::Ack);
+        let mut validator = OnlineValidator::new(dual.clone(), cfg);
+        for e in tr.entries().iter().take_while(|e| e.time < t(10)) {
+            validator.on_event(e);
+        }
+        assert!(
+            validator.deadlines.len() <= n,
+            "{} heap entries for {n} receivers",
+            validator.deadlines.len()
+        );
+        assert_matches_posthoc(&tr, &dual, &cfg, true);
+        let report = OnlineValidator::replay(&tr, &dual, &cfg, true);
+        let starved = report
+            .violations()
+            .iter()
+            .filter(|v| matches!(v, Violation::ProgressViolation { .. }))
+            .count();
+        assert_eq!(starved, n - 1 - n / 2, "{report}");
     }
 
     #[test]

@@ -60,7 +60,8 @@ use crate::policy::{BcastInfo, ForcedCandidate, Policy, PolicyCtx};
 use crate::trace::{TraceEntry, TraceKind};
 use amac_graph::{DualGraph, NodeId};
 use amac_sim::stats::Counters;
-use amac_sim::{Duration, EventId, EventQueue, FastHashMap, FastHashSet, Time};
+use amac_sim::{Duration, EventId, EventQueue, FastHashSet, Time};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,7 +98,8 @@ enum Ev<E> {
     /// `(instance, sender)`.
     AckDue(InstanceId, NodeId),
     ProgressCheck(NodeId),
-    Timer(NodeId, u64, u64),
+    /// `(node, tag)`.
+    Timer(NodeId, u64),
     Fault(NodeId, FaultKind),
 }
 
@@ -113,11 +115,17 @@ struct Slot<M> {
     key: MessageKey,
     start: Time,
     delivered: Vec<NodeId>,
-    pending: Vec<(NodeId, EventId)>,
+    pending: VecDeque<(NodeId, EventId)>,
     ack_event: Option<EventId>,
 }
 
 impl<M> Slot<M> {
+    /// Removes `to`'s pending delivery, returning its event.
+    fn take_pending(&mut self, to: NodeId) -> Option<EventId> {
+        let pos = self.pending.iter().position(|&(n, _)| n == to)?;
+        self.pending.remove(pos).map(|(_, ev)| ev)
+    }
+
     fn idle() -> Slot<M> {
         Slot {
             id: None,
@@ -125,7 +133,7 @@ impl<M> Slot<M> {
             key: MessageKey(0),
             start: Time::ZERO,
             delivered: Vec::new(),
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             ack_event: None,
         }
     }
@@ -208,13 +216,11 @@ pub struct Runtime<A: Automaton, P: Policy> {
     // build the forced-delivery candidate list handed to
     // `Policy::pick_forced`) must be ordered — here by instance id — or
     // indexed, so executions are bit-reproducible from the seed alone,
-    // across processes and thread counts. `seen_keys` and `timers` are
-    // membership/keyed access only (never iterated), so hashed
-    // collections are safe and keep those hot-path lookups O(1).
+    // across processes and thread counts. `seen_keys` is membership
+    // access only (never iterated), so a hashed set is safe and keeps
+    // that hot-path lookup O(1).
     seen_keys: Vec<FastHashSet<MessageKey>>,
     crashed: Vec<bool>,
-    timers: FastHashMap<u64, EventId>,
-    next_timer: u64,
     outputs: Vec<OutputRecord<A::Out>>,
     observers: ObserverSet,
     counters: HotCounters,
@@ -264,8 +270,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             check_scheduled: vec![false; n],
             seen_keys: vec![FastHashSet::default(); n],
             crashed: vec![false; n],
-            timers: FastHashMap::default(),
-            next_timer: 0,
             outputs: Vec::new(),
             observers: ObserverSet::default(),
             counters: HotCounters::default(),
@@ -428,11 +432,11 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             Ev::Deliver(inst, from, to) => {
                 // Skip an event that outlived its instance (the slot may
                 // hold a newer one). Otherwise drop the pending entry for
-                // this receiver; the event already fired, so there is
-                // nothing to cancel.
+                // this receiver — under FIFO deliveries it is the first;
+                // the event already fired, so there is nothing to cancel.
                 let slot = &mut self.slots[from.index()];
                 if slot.id == Some(inst) {
-                    slot.pending.retain(|(n, _)| *n != to);
+                    slot.take_pending(to).expect("a fired delivery is pending");
                     self.deliver_core(from, to);
                 }
             }
@@ -442,15 +446,13 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 }
             }
             Ev::ProgressCheck(node) => self.progress_check(node),
-            Ev::Timer(node, tag, key) => {
-                if self.timers.remove(&key).is_some() {
-                    if self.crashed[node.index()] {
-                        return; // timer firings during an outage are lost
-                    }
-                    self.counters.timer += 1;
-                    let cmds = self.callback(node, |n, ctx| n.on_timer(tag, ctx));
-                    self.apply(node, cmds);
+            Ev::Timer(node, tag) => {
+                if self.crashed[node.index()] {
+                    return; // timer firings during an outage are lost
                 }
+                self.counters.timer += 1;
+                let cmds = self.callback(node, |n, ctx| n.on_timer(tag, ctx));
+                self.apply(node, cmds);
             }
             Ev::Fault(node, FaultKind::Crash) => self.crash_node(node),
             Ev::Fault(node, FaultKind::Recover) => self.recover_node(node),
@@ -508,7 +510,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             dual: &self.dual,
             in_flight: self.slots[node.index()].id.is_some(),
             commands,
-            next_timer: &mut self.next_timer,
         };
         f(&mut self.nodes[node.index()], &mut ctx);
         ctx.commands
@@ -519,14 +520,8 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             match cmd {
                 Command::Bcast(msg) => self.start_instance(node, msg),
                 Command::Abort => self.abort_in_flight(node),
-                Command::SetTimer { id, delay, tag } => {
-                    let ev = self.queue.schedule_after(delay, Ev::Timer(node, tag, id.0));
-                    self.timers.insert(id.0, ev);
-                }
-                Command::CancelTimer(id) => {
-                    if let Some(ev) = self.timers.remove(&id.0) {
-                        self.queue.cancel(ev);
-                    }
+                Command::SetTimer { delay, tag } => {
+                    self.queue.schedule_after(delay, Ev::Timer(node, tag));
                 }
                 Command::Output(out) => {
                     self.outputs.push(OutputRecord {
@@ -604,8 +599,13 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 slot.1 = (*d).min(ack_delay);
             }
         }
+        // A receiver listed twice keeps its first entry: each receiver has
+        // at most one pending delivery, which `deliver_core` relies on.
+        let reliable = delays.len();
         for (j, d) in &plan.unreliable {
-            if self.dual.unreliable_neighbors(sender).contains(j) {
+            if self.dual.unreliable_neighbors(sender).contains(j)
+                && !delays[reliable..].iter().any(|(n, _)| n == j)
+            {
                 delays.push((*j, (*d).min(ack_delay)));
             }
         }
@@ -619,7 +619,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
                 continue; // a crashed receiver gets nothing
             }
             let ev = self.queue.schedule(now + d, Ev::Deliver(id, sender, j));
-            slot.pending.push((j, ev));
+            slot.pending.push_back((j, ev));
         }
         self.delay_scratch = delays;
         let ack_event = self.queue.schedule(now + ack_delay, Ev::AckDue(id, sender));
@@ -736,24 +736,29 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         self.forced_scratch = candidates;
         self.counters.forced_rcv += 1;
         // Cancel the planned delivery (if any) and deliver now.
-        let slot = &mut self.slots[chosen.index()];
-        if let Some(pos) = slot.pending.iter().position(|(n, _)| *n == j) {
-            let (_, ev) = slot.pending.remove(pos);
+        if let Some(ev) = self.slots[chosen.index()].take_pending(j) {
             self.queue.cancel(ev);
         }
         self.deliver_core(chosen, j);
         self.ensure_check(j);
     }
 
+    /// Delivers `from`'s in-flight instance to `to`. Callers deliver only
+    /// a receiver that is pending or that passed the forced-candidate
+    /// filter, and pending receivers are distinct and disjoint from the
+    /// delivered ones, so `to` has not been delivered yet.
     fn deliver_core(&mut self, from: NodeId, to: NodeId) {
         if self.crashed[to.index()] {
             return; // defensive: deliveries to crashed nodes are cancelled
         }
         let slot = &mut self.slots[from.index()];
-        let inst = match slot.id {
-            Some(inst) if !slot.delivered.contains(&to) => inst,
-            _ => return,
+        let Some(inst) = slot.id else {
+            return;
         };
+        debug_assert!(
+            !slot.delivered.contains(&to),
+            "{to} already received {inst}"
+        );
         slot.delivered.push(to);
         let key = slot.key;
         // Payloads are interned: a delivery clones the Arc, not the
@@ -855,8 +860,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         // in flight hold pending deliveries, so this costs O(n) per crash
         // however many instances the run has created.
         for slot in &mut self.slots {
-            if let Some(pos) = slot.pending.iter().position(|(n, _)| *n == v) {
-                let (_, ev) = slot.pending.remove(pos);
+            if let Some(ev) = slot.take_pending(v) {
                 self.queue.cancel(ev);
             }
         }
@@ -904,6 +908,7 @@ mod tests {
     use super::*;
     use crate::observer::{CounterObserver, TraceObserver};
     use crate::policies::{EagerPolicy, LazyPolicy, RandomPolicy};
+    use crate::policy::BcastPlan;
     use amac_graph::generators;
     use amac_sim::SimRng;
     use proptest::prelude::*;
@@ -1340,7 +1345,8 @@ mod tests {
     /// receiver `j`, `connected[j]`/`contending[j]` are the senders of the
     /// in-flight instances among `j`'s `G`-/`G′`-neighbors in ascending
     /// instance id, and `live_protectors[j]` counts the in-flight
-    /// instances that delivered to `j`. Idle slots hold no instance state.
+    /// instances that delivered to `j`. Idle slots hold no instance state,
+    /// and a slot's pending receivers are distinct and not yet delivered.
     fn assert_consistent<A: Automaton, P: Policy>(rt: &Runtime<A, P>) {
         let in_flight = |neighbors: &[NodeId]| {
             let mut senders = neighbors.to_vec();
@@ -1358,6 +1364,14 @@ mod tests {
             assert!(
                 live || slot.pending.is_empty() && slot.delivered.is_empty(),
                 "slot {i}"
+            );
+            let mut pending: Vec<NodeId> = slot.pending.iter().map(|&(j, _)| j).collect();
+            pending.sort_unstable();
+            pending.dedup();
+            assert_eq!(pending.len(), slot.pending.len(), "slot {i} pending twice");
+            assert!(
+                pending.iter().all(|j| !slot.delivered.contains(j)),
+                "slot {i} pending after delivery"
             );
         }
         for i in 0..rt.dual.len() {
@@ -1473,6 +1487,52 @@ mod tests {
             capacity <= 32 * edges,
             "capacity {capacity} for |E′| = {edges}"
         );
+    }
+
+    #[test]
+    fn a_receiver_listed_twice_receives_once() {
+        /// Lists every unreliable neighbor twice, at two delays.
+        struct Stutter;
+        impl Policy for Stutter {
+            fn plan_bcast(&mut self, ctx: &PolicyCtx<'_>, info: &BcastInfo) -> BcastPlan {
+                let unreliable = ctx.dual.unreliable_neighbors(info.sender).iter();
+                let twice = unreliable.flat_map(|&j| [1, 2].map(|d| (j, Duration::from_ticks(d))));
+                BcastPlan {
+                    ack_delay: Duration::from_ticks(3),
+                    reliable_default: Some(Duration::TICK),
+                    reliable: Vec::new(),
+                    unreliable: twice.collect(),
+                }
+            }
+        }
+        let n = 5;
+        let dual = DualGraph::new(
+            generators::line(n).unwrap(),
+            generators::complete(n).unwrap(),
+        )
+        .unwrap();
+        let cfg = MacConfig::from_ticks(2, 16);
+        let mut rt = Runtime::new(dual.clone(), cfg, flooders(n), Stutter);
+        let tracer = rt.attach(TraceObserver::new());
+        let validator = rt.attach(crate::OnlineValidator::new(dual, cfg));
+        while rt.step() {
+            assert_consistent(&rt);
+        }
+        let report = rt.detach(validator).into_report(true);
+        assert!(report.is_ok(), "{report}");
+        let trace = rt.observer(&tracer).trace();
+        let mut rcvs: Vec<_> = trace
+            .of_kind(TraceKind::Rcv)
+            .map(|e| (e.instance, e.node))
+            .collect();
+        rcvs.sort_unstable();
+        rcvs.dedup();
+        assert_eq!(
+            rcvs.len(),
+            trace.count(TraceKind::Rcv),
+            "one rcv per receiver"
+        );
+        assert_eq!(rcvs.len(), (n - 1) * trace.count(TraceKind::Bcast));
     }
 
     proptest! {

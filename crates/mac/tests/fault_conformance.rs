@@ -232,4 +232,59 @@ proptest! {
             seed
         );
     }
+
+    /// The same agreement where violations happen: a share of the `rcv`s
+    /// of a faulted runtime trace is deleted (never the last entry, which
+    /// fixes the post-hoc horizon), so receivers starve, miss reliable
+    /// deliveries and break progress windows. Fault records after the last
+    /// entry are dropped: the streaming validator judges windows against
+    /// the stream's own clock, which they would move past the horizon
+    /// (the documented margin of `amac_mac::online`).
+    #[test]
+    fn online_and_posthoc_validators_agree_on_traces_with_dropped_receives(
+        seed in 0u64..1_000_000,
+        topo in 0u8..4,
+        n in 3usize..10,
+        sources in 1usize..4,
+        crash_count in 0usize..5,
+        window in 5u64..80,
+        f_prog in 1u64..4,
+        f_ack_mult in 2u64..10,
+        policy_pick in 0u8..3,
+        drop_percent in 1u64..100,
+    ) {
+        let crash_count = crash_count.min(n - 1);
+        let sources = sources.min(n);
+        let dual = topology(topo, n);
+        let cfg = MacConfig::from_ticks(f_prog, f_prog * f_ack_mult);
+        let mut rng = SimRng::seed(seed);
+        let plan = FaultPlan::random_crashes(n, crash_count, Time::from_ticks(window), &mut rng);
+        let policy: Box<dyn Policy> = match policy_pick {
+            0 => Box::new(EagerPolicy::new()),
+            1 => Box::new(LazyPolicy::new().prefer_duplicates()),
+            _ => Box::new(RandomPolicy::new(seed ^ 0xFA57)),
+        };
+        let trace = run_with_plan(&dual, cfg, chatters(n, sources), policy, plan);
+        let entries = trace.entries();
+        let mut thinned = Trace::new();
+        for (i, e) in entries.iter().enumerate() {
+            let last = i + 1 == entries.len();
+            if e.kind == TraceKind::Rcv && !last && rng.below(100) < drop_percent {
+                continue;
+            }
+            thinned.push(e.time, e.instance, e.node, e.kind, e.key);
+        }
+        let horizon = trace.last_time().unwrap_or(Time::ZERO);
+        for f in trace.faults().iter().filter(|f| f.time <= horizon) {
+            thinned.push_fault(f.time, f.node, f.kind);
+        }
+        let posthoc = validate(&thinned, &dual, &cfg, true);
+        let replayed = OnlineValidator::replay(&thinned, &dual, &cfg, true);
+        prop_assert_eq!(
+            violation_set(&replayed),
+            violation_set(&posthoc),
+            "seed {}: online validator disagrees with post-hoc\nonline: {}\npost-hoc: {}",
+            seed, replayed, posthoc
+        );
+    }
 }
