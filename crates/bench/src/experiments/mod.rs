@@ -1,4 +1,4 @@
-//! One module per experiment in the reproduction plan (see DESIGN.md §5).
+//! One module per experiment in the reproduction plan (see `docs/EXPERIMENTS.md`).
 //!
 //! | id | module | paper artifact |
 //! |---|---|---|

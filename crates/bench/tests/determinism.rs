@@ -4,7 +4,7 @@
 
 use amac_bench::engine::TrialRunner;
 use amac_bench::experiments::{self, LabeledOutlier};
-use amac_store::{replay_validate, TraceReader};
+use amac_store::{replay_into, replay_validate, TraceReader};
 use std::path::PathBuf;
 
 fn assert_jobs_invariant(render: impl Fn(&TrialRunner) -> String, label: &str) {
@@ -364,6 +364,37 @@ fn canonical_chrome_trace_is_repeatable_and_has_spans() {
         render(1),
         "SCALE: the chrome trace must be repeatable"
     );
+}
+
+#[test]
+fn replayed_metrics_match_live_metrics() {
+    // Determinism contract item 3 of docs/OBSERVABILITY.md: the recording's
+    // header carries F_prog/F_ack, so metrics rebuilt from the file alone
+    // (`repro replay --observer metrics`) are the live run's document.
+    let dir = capture_dir("replayed-metrics");
+    for spec in experiments::registry() {
+        let run = spec.canonical(&amac_bench::CanonicalOpts {
+            smoke: true,
+            record: Some(dir.clone()),
+            metrics: true,
+            ..amac_bench::CanonicalOpts::default()
+        });
+        let live = run
+            .metrics
+            .expect("metrics were requested")
+            .to_json(spec.id);
+        let path = run.trace.expect("recording was requested").path;
+        let mut reader = TraceReader::open(&path).unwrap();
+        let mut replayed = amac_obs::MetricsObserver::new(reader.header().config());
+        replay_into(&mut reader, &mut replayed).unwrap();
+        assert_eq!(
+            replayed.into_report().to_json(spec.id),
+            live,
+            "{}: replayed metrics must match the live document byte for byte",
+            spec.id
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -129,25 +129,24 @@ mod tests {
     use super::*;
     use crate::mmb::Assignment;
     use amac_graph::{generators, DualGraph, NodeId};
-    use amac_mac::trace::Trace;
-    use amac_mac::{policies, validate, MacConfig, Runtime, TraceObserver};
+    use amac_mac::{policies, MacConfig, OnlineValidator, Runtime, ValidationReport};
 
     fn run_line(
         n: usize,
         assignment: &Assignment,
         policy: impl amac_mac::Policy,
-    ) -> (Runtime<Bmmb, impl amac_mac::Policy>, Trace) {
+    ) -> (Runtime<Bmmb, impl amac_mac::Policy>, ValidationReport) {
         let dual = DualGraph::reliable(generators::line(n).unwrap());
         let cfg = MacConfig::from_ticks(2, 24);
         let nodes = (0..n).map(|_| Bmmb::new()).collect();
-        let mut rt = Runtime::new(dual, cfg, nodes, policy);
-        let tracer = rt.attach(TraceObserver::new());
+        let mut rt = Runtime::new(dual.clone(), cfg, nodes, policy);
+        let validator = rt.attach(OnlineValidator::new(dual, cfg));
         for (node, msg) in assignment.arrivals() {
             rt.inject(*node, *msg);
         }
         rt.run();
-        let trace = rt.detach(tracer).into_trace();
-        (rt, trace)
+        let report = rt.detach(validator).into_report(true);
+        (rt, report)
     }
 
     #[test]
@@ -174,9 +173,8 @@ mod tests {
     #[test]
     fn multiple_messages_complete_under_lazy_scheduler() {
         let a = Assignment::all_at(NodeId::new(0), 3);
-        let (rt, trace) = run_line(5, &a, policies::LazyPolicy::new().prefer_duplicates());
+        let (rt, report) = run_line(5, &a, policies::LazyPolicy::new().prefer_duplicates());
         assert_eq!(rt.outputs().len(), 15);
-        let report = validate(&trace, rt.dual(), rt.config(), true);
         assert!(report.is_ok(), "{report}");
     }
 
@@ -222,7 +220,7 @@ mod tests {
             nodes,
             policies::EagerPolicy::new().with_unreliable(1.0, 5),
         );
-        let tracer = rt.attach(TraceObserver::new());
+        let validator = rt.attach(OnlineValidator::new(dual, cfg));
         rt.inject(
             NodeId::new(0),
             MmbMessage {
@@ -232,7 +230,7 @@ mod tests {
         );
         rt.run();
         assert_eq!(rt.outputs().len(), 10);
-        let report = validate(rt.observer(&tracer).trace(), &dual, rt.config(), true);
+        let report = rt.detach(validator).into_report(true);
         assert!(report.is_ok(), "{report}");
     }
 }

@@ -181,8 +181,8 @@ impl fmt::Display for CrashStarReport {
 /// disconnecting `G` (e.g. the single-hop/complete setting of
 /// `amac_proto::consensus`), and this scenario is the witness that the
 /// condition is necessary. The MAC layer itself stays blameless — the
-/// returned run's trace still passes `amac_mac::validate` with the crash
-/// event present.
+/// returned run still passes the `OnlineValidator` with the crash event
+/// present.
 pub fn run_crash_star(leaves: usize, phases: u64, options: &RunOptions) -> CrashStarReport {
     assert!(leaves >= 2, "need at least two leaves to split");
     let n = leaves + 1;

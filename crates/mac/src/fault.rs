@@ -21,9 +21,9 @@
 //! comes back.
 //!
 //! Every applied fault is recorded in the execution [`Trace`](crate::trace::Trace)
-//! as a [`FaultRecord`](crate::trace::FaultRecord), and
-//! [`validate`](crate::validate) conditions the five model guarantees on
-//! the liveness of the nodes involved.
+//! as a [`FaultRecord`](crate::trace::FaultRecord), and the
+//! [`OnlineValidator`](crate::OnlineValidator) conditions the five model
+//! guarantees on the liveness of the nodes involved.
 //!
 //! # Examples
 //!

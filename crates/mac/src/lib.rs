@@ -23,9 +23,10 @@
 //! MAC-level event to pluggable [`Observer`]s. Attach an
 //! [`OnlineValidator`] to re-check conformance *while the execution runs*
 //! in memory proportional to the in-flight state, or a [`TraceObserver`]
-//! to record a full [`trace::Trace`] for hand inspection and for the
-//! post-hoc [`validate`], the reference oracle that tests compare the
-//! streaming validator against.
+//! to record a full [`trace::Trace`] for hand inspection (or feed it to
+//! [`OnlineValidator::replay`]). The validator is the crate's one checker
+//! of the guarantees; the integration tests hold a post-hoc reference
+//! oracle that it is property-tested against.
 //!
 //! ## Layer map
 //!
@@ -36,7 +37,7 @@
 //! | message scheduler adversary | [`Policy`] (+ [`policies`]) |
 //! | `F_ack`, `F_prog`, model variant | [`MacConfig`], [`ModelVariant`] |
 //! | execution (admissible timed execution) | [`Runtime`] + [`Observer`] stream |
-//! | guarantees 1–5 of Section 3.2.1 | [`Runtime`] enforcement + [`OnlineValidator`] / [`validate`] |
+//! | guarantees 1–5 of Section 3.2.1 | [`Runtime`] enforcement + [`OnlineValidator`] |
 //! | node-crash faults (the NR18/ZT24 follow-up model) | [`FaultPlan`] + [`Runtime::with_faults`] |
 //!
 //! ## Example: flooding a token under a worst-case scheduler
@@ -101,6 +102,14 @@ mod runtime;
 pub mod trace;
 mod validator;
 
+// The unit tests share the hand-built trace table and the post-hoc oracle
+// with the integration tests, which name this crate `amac_mac`.
+#[cfg(test)]
+extern crate self as amac_mac;
+#[cfg(test)]
+#[path = "../tests/hand_built/mod.rs"]
+mod hand_built;
+
 pub use choice::{ChoicePoint, ChoicePolicy, ChoiceSource, RngSource};
 pub use config::{MacConfig, ModelVariant};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
@@ -111,4 +120,4 @@ pub use observer::{CounterObserver, Observer, ObserverHandle, TraceObserver};
 pub use online::{OnlineStats, OnlineValidator};
 pub use policy::{BcastInfo, BcastPlan, ForcedCandidate, Policy, PolicyCtx};
 pub use runtime::{OutputRecord, RunOutcome, Runtime};
-pub use validator::{validate, ValidationReport, Violation};
+pub use validator::{ValidationReport, Violation};

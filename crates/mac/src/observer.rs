@@ -14,8 +14,8 @@
 //!   pre-observer default behaviour, now opt-in. Attach it when you need
 //!   the whole execution in memory: the model checker's per-schedule
 //!   fingerprints, `repro replay --observer trace`, hand inspection, or a
-//!   trace for the reference [`validate`](crate::validate) that tests
-//!   compare the streaming validator against.
+//!   trace for the post-hoc oracle that this crate's tests compare the
+//!   streaming validator against.
 //! * [`CounterObserver`] — per-kind event counts, O(1) memory.
 //! * [`OnlineValidator`](crate::OnlineValidator) — checks the five MAC
 //!   guarantees *while the execution runs*, with memory proportional to
@@ -131,8 +131,9 @@ impl ObserverSet {
 
 /// Records the full execution [`Trace`] — the pre-observer default
 /// behaviour, now opt-in. O(events) memory; attach it only when a surface
-/// actually consumes the trace (post-hoc [`validate`](crate::validate),
-/// schedule fingerprints, hand-built-trace comparisons).
+/// actually consumes the trace (schedule fingerprints,
+/// [`OnlineValidator::replay`](crate::OnlineValidator::replay), the test
+/// oracle).
 ///
 /// # Examples
 ///

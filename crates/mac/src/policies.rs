@@ -32,7 +32,6 @@ use amac_sim::Duration;
 /// ```
 #[derive(Debug)]
 pub struct EagerPolicy {
-    delivery_delay: Duration,
     unreliable_probability: f64,
     source: RngSource,
 }
@@ -42,7 +41,6 @@ impl EagerPolicy {
     /// silent, the adversary's prerogative).
     pub fn new() -> EagerPolicy {
         EagerPolicy {
-            delivery_delay: Duration::TICK,
             unreliable_probability: 0.0,
             source: RngSource::seed(0),
         }
@@ -55,12 +53,6 @@ impl EagerPolicy {
         self.source = RngSource::seed(seed);
         self
     }
-
-    /// Sets the delivery delay (default 1 tick).
-    pub fn with_delivery_delay(mut self, d: Duration) -> EagerPolicy {
-        self.delivery_delay = d;
-        self
-    }
 }
 
 impl Default for EagerPolicy {
@@ -71,7 +63,7 @@ impl Default for EagerPolicy {
 
 impl Policy for EagerPolicy {
     fn plan_bcast(&mut self, ctx: &PolicyCtx<'_>, info: &BcastInfo) -> BcastPlan {
-        let d = self.delivery_delay;
+        let d = Duration::TICK;
         let ack = d + Duration::TICK;
         if self.unreliable_probability == 0.0 {
             // The common case builds no per-broadcast lists at all.

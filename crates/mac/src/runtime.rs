@@ -1204,6 +1204,7 @@ mod tests {
         )
         .with_faults(plan);
         let tracer = rt.attach(TraceObserver::new());
+        let validator = rt.attach(crate::OnlineValidator::new(dual, cfg));
         assert_eq!(rt.run(), RunOutcome::Idle);
         assert_eq!(rt.outputs().len(), 1, "only the source itself delivered");
         assert!(rt.is_crashed(NodeId::new(0)));
@@ -1212,7 +1213,7 @@ mod tests {
         let trace = rt.observer(&tracer).trace();
         assert_eq!(trace.faults().len(), 1);
         assert_eq!(trace.count(TraceKind::Ack), 0);
-        let report = crate::validate(trace, &dual, &cfg, true);
+        let report = rt.detach(validator).into_report(true);
         assert!(report.is_ok(), "{report}");
     }
 
@@ -1226,14 +1227,9 @@ mod tests {
         let cfg = MacConfig::from_ticks(2, 16);
         let nodes = flooders(4);
         let plan = FaultPlan::new().crash_at(NodeId::new(0), Time::from_ticks(2));
-        let mut rt = Runtime::new(
-            dual.clone(),
-            cfg,
-            nodes,
-            EagerPolicy::new().with_delivery_delay(Duration::from_ticks(1)),
-        )
-        .with_faults(plan);
+        let mut rt = Runtime::new(dual.clone(), cfg, nodes, EagerPolicy::new()).with_faults(plan);
         let tracer = rt.attach(TraceObserver::new());
+        let validator = rt.attach(crate::OnlineValidator::new(dual, cfg));
         rt.run();
         // Same-tick ordering: deliveries at t=1 were scheduled before the
         // crash at t=1, so the leaves hear the token; the ack (t=2) does
@@ -1248,7 +1244,7 @@ mod tests {
             0,
             "the crashed hub never acks"
         );
-        let report = crate::validate(trace, &dual, &cfg, true);
+        let report = rt.detach(validator).into_report(true);
         assert!(report.is_ok(), "{report}");
     }
 

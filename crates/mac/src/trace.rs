@@ -1,7 +1,8 @@
 //! Execution traces: the ground truth record of MAC-level events.
 //!
-//! The runtime appends one entry per `bcast` / `rcv` / `ack` / `abort`
-//! event. Traces are the input to the [`validate`](crate::validate) function, which
+//! A [`TraceObserver`](crate::TraceObserver) appends one entry per
+//! `bcast` / `rcv` / `ack` / `abort` event. A trace can be fed back to
+//! [`OnlineValidator::replay`](crate::OnlineValidator::replay), which
 //! re-checks the paper's five MAC-layer guarantees on the concrete
 //! execution — our mechanical substitute for the paper's hand proofs of
 //! model conformance. Traces can also be constructed by hand, which the

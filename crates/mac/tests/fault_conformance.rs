@@ -1,18 +1,21 @@
 //! Model conformance under fault injection: every execution the [`Runtime`]
 //! produces under a random [`FaultPlan`] must be accepted by the
-//! crash-conditioned [`validate`] function — and by the streaming
-//! [`OnlineValidator`], which must report the *identical violation set* —
-//! and the fault semantics themselves must hold (a crashed node goes
-//! silent the instant it crashes).
+//! crash-conditioned post-hoc oracle ([`oracle::validate`]) — and by the
+//! streaming [`OnlineValidator`], which must report the *identical
+//! violation set* — and the fault semantics themselves must hold (a
+//! crashed node goes silent the instant it crashes).
+
+mod oracle;
 
 use amac_graph::{generators, DualGraph, NodeId};
 use amac_mac::policies::{EagerPolicy, LazyPolicy, RandomPolicy};
 use amac_mac::trace::{Trace, TraceKind};
 use amac_mac::{
-    validate, Automaton, Ctx, FaultKind, FaultPlan, MacConfig, MacMessage, MessageKey,
-    OnlineValidator, Policy, Runtime, TraceObserver, ValidationReport,
+    Automaton, Ctx, FaultKind, FaultPlan, MacConfig, MacMessage, MessageKey, OnlineValidator,
+    Policy, Runtime, TraceObserver, ValidationReport, Violation,
 };
 use amac_sim::{SimRng, Time};
+use oracle::validate;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -107,13 +110,9 @@ fn run_with_plan(
     run_with_plan_validated(dual, cfg, nodes, policy, plan).0
 }
 
-/// Order-insensitive view of a report, for set comparison.
-fn violation_set(report: &ValidationReport) -> Vec<String> {
-    let mut v: Vec<String> = report
-        .violations()
-        .iter()
-        .map(|x| format!("{x:?}"))
-        .collect();
+/// Order-insensitive view of a violation list, for set comparison.
+fn violation_set(violations: &[Violation]) -> Vec<String> {
+    let mut v: Vec<String> = violations.iter().map(|x| format!("{x:?}")).collect();
     v.sort();
     v
 }
@@ -163,8 +162,8 @@ fn crashed_broadcaster_never_reappears_in_the_trace() {
         trace.count(TraceKind::Bcast) > 4,
         "traffic must outlive the crashes"
     );
-    let report = validate(&trace, &dual, &cfg, true);
-    assert!(report.is_ok(), "{report}");
+    let violations = validate(&trace, &dual, &cfg, true);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]
@@ -177,8 +176,8 @@ fn recovery_reopens_the_node_without_breaking_conformance() {
         .crash_at(NodeId::new(4), Time::from_ticks(5));
     let trace = run_with_plan(&dual, cfg, chatters(6, 3), EagerPolicy::new(), plan);
     assert_silent_after_crash(&trace);
-    let report = validate(&trace, &dual, &cfg, true);
-    assert!(report.is_ok(), "{report}");
+    let violations = validate(&trace, &dual, &cfg, true);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 proptest! {
@@ -189,7 +188,7 @@ proptest! {
     /// passes the crash-conditioned validator — crashes never manufacture
     /// spurious guarantee violations. The streaming [`OnlineValidator`]
     /// (both attached live and replayed over the recorded trace) must
-    /// report the *identical* violation set as the post-hoc [`validate`].
+    /// report the *identical* violation set as the post-hoc oracle.
     #[test]
     fn online_and_posthoc_validators_agree_on_faulted_runtime_traces(
         seed in 0u64..1_000_000,
@@ -217,16 +216,16 @@ proptest! {
             run_with_plan_validated(&dual, cfg, chatters(n, sources), policy, plan);
         assert_silent_after_crash(&trace);
         let posthoc = validate(&trace, &dual, &cfg, true);
-        prop_assert!(posthoc.is_ok(), "seed {}: {}", seed, posthoc);
+        prop_assert!(posthoc.is_empty(), "seed {}: {:?}", seed, posthoc);
         prop_assert_eq!(
-            violation_set(&online),
+            violation_set(online.violations()),
             violation_set(&posthoc),
-            "seed {}: live online validator disagrees with post-hoc\nonline: {}\npost-hoc: {}",
+            "seed {}: live online validator disagrees with post-hoc\nonline: {}\npost-hoc: {:?}",
             seed, online, posthoc
         );
         let replayed = OnlineValidator::replay(&trace, &dual, &cfg, true);
         prop_assert_eq!(
-            violation_set(&replayed),
+            violation_set(replayed.violations()),
             violation_set(&posthoc),
             "seed {}: replayed online validator disagrees with post-hoc",
             seed
@@ -281,9 +280,9 @@ proptest! {
         let posthoc = validate(&thinned, &dual, &cfg, true);
         let replayed = OnlineValidator::replay(&thinned, &dual, &cfg, true);
         prop_assert_eq!(
-            violation_set(&replayed),
+            violation_set(replayed.violations()),
             violation_set(&posthoc),
-            "seed {}: online validator disagrees with post-hoc\nonline: {}\npost-hoc: {}",
+            "seed {}: online validator disagrees with post-hoc\nonline: {}\npost-hoc: {:?}",
             seed, replayed, posthoc
         );
     }

@@ -30,8 +30,9 @@
 //!   analogous guarantee w.h.p.).
 //!
 //! All four are re-checked per execution by [`validate_consensus`] — the
-//! consensus-level analogue of [`amac_mac::validate`] — and the MAC-level
-//! trace (crash events included) still passes `amac_mac::validate`.
+//! consensus-level analogue of the MAC-level
+//! [`OnlineValidator`](amac_mac::OnlineValidator) — and the MAC-level
+//! execution (crash events included) still passes that validator.
 //!
 //! The guarantees assume the crash pattern cannot disconnect the reliable
 //! graph `G` (e.g. a complete single-hop `G`, the NR18 setting). The

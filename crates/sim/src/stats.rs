@@ -210,28 +210,6 @@ impl Summary {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -308,27 +286,18 @@ pub struct Reservoir {
 
 impl Reservoir {
     /// Creates a reservoir holding at most `capacity` samples, with a
-    /// fixed default seed for the replacement stream.
+    /// fixed seed for the replacement stream.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Reservoir {
-        Reservoir::with_seed(capacity, RESERVOIR_SEED)
-    }
-
-    /// Creates a reservoir with an explicit replacement-stream seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_seed(capacity: usize, seed: u64) -> Reservoir {
         assert!(capacity > 0, "reservoir capacity must be positive");
         Reservoir {
             capacity,
             seen: 0,
             samples: Vec::new(),
-            rng: SimRng::seed(seed),
+            rng: SimRng::seed(RESERVOIR_SEED),
         }
     }
 
@@ -442,7 +411,7 @@ impl Aggregate {
     pub fn new() -> Aggregate {
         Aggregate {
             summary: Summary::new(),
-            reservoir: Reservoir::with_seed(AGGREGATE_RESERVOIR_CAPACITY, RESERVOIR_SEED),
+            reservoir: Reservoir::new(AGGREGATE_RESERVOIR_CAPACITY),
         }
     }
 
@@ -465,11 +434,6 @@ impl Aggregate {
     /// Mean over trials (0 when empty).
     pub fn mean(&self) -> f64 {
         self.summary.mean()
-    }
-
-    /// Sample standard deviation over trials.
-    pub fn sample_stddev(&self) -> f64 {
-        self.summary.sample_variance().sqrt()
     }
 
     /// 95% confidence-interval half-width for the mean.
@@ -583,28 +547,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.to_string(), "n=0");
-    }
-
-    #[test]
-    fn summary_merge_matches_bulk() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut all = Summary::new();
-        for i in 0..10 {
-            let x = i as f64 * 1.5;
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            all.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
     }
 
     /// Welford (streaming) statistics must match a naive two-pass
@@ -747,7 +689,6 @@ mod tests {
         assert_eq!(a.median(), Some(10.0));
         assert_eq!(a.p95(), Some(19.0));
         assert!(a.ci95_half_width() > 0.0);
-        assert!(a.sample_stddev() > 0.0);
         let shown = a.to_string();
         assert!(shown.contains("n=20"), "{shown}");
         assert_eq!(Aggregate::new().to_string(), "n=0");

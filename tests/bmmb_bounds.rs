@@ -172,13 +172,13 @@ fn disconnected_networks_complete_per_component() {
 fn online_arrivals_are_also_solved() {
     // The paper's footnote-4 variant: messages arriving mid-execution.
     use amac::core::{Bmmb, CompletionTracker, Delivered, MessageId, MmbMessage};
-    use amac::mac::{Runtime, TraceObserver};
+    use amac::mac::{OnlineValidator, Runtime};
     use amac::sim::Time;
 
     let dual = DualGraph::reliable(generators::line(10).unwrap());
     let nodes = (0..10).map(|_| Bmmb::new()).collect();
     let mut rt = Runtime::new(dual.clone(), cfg(), nodes, LazyPolicy::new());
-    let tracer = rt.attach(TraceObserver::new());
+    let validator = rt.attach(OnlineValidator::new(dual.clone(), cfg()));
     let m0 = MmbMessage {
         id: MessageId(0),
         origin: NodeId::new(0),
@@ -201,6 +201,6 @@ fn online_arrivals_are_also_solved() {
         tracker.record(rec.time, rec.node, id);
     }
     assert!(tracker.is_complete(), "{} missing", tracker.remaining());
-    let report = amac::mac::validate(rt.observer(&tracer).trace(), &dual, rt.config(), true);
+    let report = rt.detach(validator).into_report(true);
     assert!(report.is_ok(), "{report}");
 }
