@@ -8,8 +8,11 @@
 use amac_core::{run_bmmb, Assignment, RunOptions};
 use amac_graph::{generators, DualGraph, NodeId};
 use amac_mac::policies::{EagerPolicy, LazyPolicy};
-use amac_mac::MacConfig;
+use amac_mac::trace::Trace;
+use amac_mac::{FaultPlan, MacConfig, OnlineValidator, TraceObserver};
+use amac_proto::consensus::{run_consensus, ConsensusParams};
 use amac_sim::{Duration, EventQueue, SimRng, Time};
+use amac_store::{replay_into, TraceReader};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -68,10 +71,7 @@ fn bench_event_queue(c: &mut Criterion) {
 /// The runtime hot path at scale: a k=2 BMMB flood over a 1,000-node line
 /// under the eager scheduler (~10⁴ events per run), measured bare and with
 /// the streaming validator attached. Criterion reports seconds per run;
-/// events/sec = events ÷ mean time. The pre-refactor pin for this workload
-/// (trace-recording runtime + post-hoc validation) is recorded in
-/// `experiments::scale::PRE_REFACTOR_PIN_EVENTS_PER_SEC` — the observer
-/// refactor's ≥2× claim is measured against it.
+/// events/sec = events ÷ mean time.
 fn bench_runtime_hot_path(c: &mut Criterion) {
     let dual = DualGraph::reliable(generators::line(1000).unwrap());
     let cfg = MacConfig::from_ticks(2, 32);
@@ -104,6 +104,77 @@ fn bench_runtime_hot_path(c: &mut Criterion) {
             black_box(report.counters.get("events"))
         });
     });
+}
+
+/// A recorded execution read back into memory: the trace, the topology
+/// and bounds it ran under, and whether it ran to quiescence.
+struct Recorded {
+    trace: Trace,
+    dual: DualGraph,
+    config: MacConfig,
+    quiescent: bool,
+}
+
+/// Records one execution with `RunOptions::recording` (through `run`) and
+/// replays the file into a `TraceObserver`, so the benches below time the
+/// validator alone: no runtime, no decoding.
+fn recorded(name: &str, run: impl FnOnce(&RunOptions)) -> Recorded {
+    let path = std::env::temp_dir().join(format!(
+        "amac-micro-{}-{name}.amactrace",
+        std::process::id()
+    ));
+    run(&RunOptions::default().recording(&path, 1));
+    let mut reader = TraceReader::open(&path).expect("the recording opens");
+    let mut tracer = TraceObserver::new();
+    let trailer = replay_into(&mut reader, &mut tracer).expect("the recording replays");
+    std::fs::remove_file(&path).ok();
+    Recorded {
+        trace: tracer.into_trace(),
+        dual: reader.dual().clone(),
+        config: reader.config(),
+        quiescent: trailer.quiescent,
+    }
+}
+
+/// `OnlineValidator::replay` over two recorded executions at opposite
+/// degrees: crash-tolerant consensus on the 200-node complete graph with
+/// 20 crashes (the shape of perfbench's `consensus_crash_recorded`, ~7.7e5
+/// events at degree 199), and the `scale` experiment's k=2 BMMB flood on
+/// the 10⁴-node jittered grid (~1.4e5 events at degree ≤ 4).
+fn bench_validator(c: &mut Criterion) {
+    let consensus = recorded("consensus200", |options| {
+        let n = 200;
+        let config = MacConfig::from_ticks(2, 16).enhanced();
+        let params = ConsensusParams::for_crashes(20, &config);
+        let mut rng = SimRng::seed(1);
+        let initial = (0..n).map(|_| rng.chance(0.5)).collect::<Vec<_>>();
+        let window = Time::ZERO + params.phase_len.times(params.phases);
+        let faults = FaultPlan::random_crashes(n, 20, window, &mut rng);
+        let dual = DualGraph::reliable(generators::complete(n).unwrap());
+        let policy = LazyPolicy::new().prefer_duplicates();
+        run_consensus(&dual, config, &initial, &params, faults, policy, options);
+    });
+    let grid = recorded("grid10k", |options| {
+        let n = 10_000;
+        let net = generators::grid_grey_zone_network(n, 0.0, &mut SimRng::seed(0x5CA1E ^ n as u64))
+            .unwrap();
+        let assignment = Assignment::all_at(NodeId::new(0), 2);
+        let config = MacConfig::from_ticks(2, 32);
+        run_bmmb(&net.dual, config, &assignment, EagerPolicy::new(), options);
+    });
+    for (name, rec) in [
+        ("validator_replay_consensus200", consensus),
+        ("validator_replay_grid10k", grid),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let report =
+                    OnlineValidator::replay(&rec.trace, &rec.dual, &rec.config, rec.quiescent);
+                assert!(report.is_ok(), "{report}");
+                black_box(report)
+            });
+        });
+    }
 }
 
 fn bench_bmmb(c: &mut Criterion) {
@@ -156,6 +227,7 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_runtime_hot_path,
+    bench_validator,
     bench_bmmb,
     bench_topology
 );

@@ -20,8 +20,7 @@
 //!
 //! Before the observer refactor these sweeps were memory-bound: a
 //! validated run materialized the full trace (O(events)) and re-scanned it
-//! post hoc. The pre-refactor pin recorded in the table notes is the
-//! anchor for the throughput trajectory in `BENCH_scale.json`.
+//! post hoc.
 
 use super::LabeledOutlier;
 use crate::engine::{CellResult, TrialRunner};
@@ -71,12 +70,6 @@ pub struct Scale {
 /// The workload is a deterministic BMMB grid flood under the eager
 /// scheduler: extra trials would re-measure identical values.
 pub const DETERMINISTIC: bool = true;
-
-/// Pre-refactor pin (trace-recording runtime + post-hoc validation) on the
-/// n=1000, k=2 flooding workload, recorded before the observer refactor
-/// landed — the anchor the ≥2× streaming-pipeline claim is measured
-/// against. Machine: the CI-class box this workspace is developed on.
-pub const PRE_REFACTOR_PIN_EVENTS_PER_SEC: f64 = 3_200_000.0;
 
 /// Messages flooded per point (small and fixed: the sweep scales `n`).
 const MESSAGES: usize = 2;
@@ -189,11 +182,10 @@ pub fn run(ns: &[usize], runner: &TrialRunner) -> Scale {
         "seq ev/s is wall clock (machine-dependent) and exempt from the byte-identity contract; \
          every other column is invariant across --jobs",
     );
-    table.note(format!(
+    table.note(
         "peak live/tracked = streaming validator state: bounded by in-flight instances, \
-         not execution length (pre-refactor pipeline retained the full trace, \
-         pin {PRE_REFACTOR_PIN_EVENTS_PER_SEC:.1e} events/s on n=1k)",
-    ));
+         not execution length",
+    );
 
     Scale {
         points,

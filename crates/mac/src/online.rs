@@ -53,6 +53,37 @@
 //! its concurrency, which is what makes `n = 10⁴`-node sweeps (and the
 //! ROADMAP's larger ambitions) validatable at all.
 //!
+//! ## Cost per event
+//!
+//! On a runtime's stream every event costs O(1), apart from the work per
+//! neighbor that starting and ending a broadcast needs. The fallbacks that
+//! keep any other stream exact cost O(log degree) per lookup:
+//!
+//! * a **`bcast`** appends its instance to each `G`-neighbor's connected
+//!   list, O(deg_G). A runtime broadcasts in ascending `(start, id)`, so
+//!   the instance sorts last; one that does not (several broadcasts of a
+//!   hand-built tick in descending ids) is inserted in order;
+//! * a **`rcv`** costs one hash lookup of its instance (it names only the
+//!   receiver) and O(1) more. A runtime mostly delivers in ascending
+//!   receiver order, so the receiver is appended to the instance's sorted
+//!   deliveries and is found among the sender's `G`-neighbors at a cursor
+//!   just past the previous receiver. A receiver below an earlier one is
+//!   searched for and inserted in order instead, and one outside `G` is
+//!   also searched for among the `G′`-only neighbors;
+//! * an **`ack`** is O(1) to check when its count of distinct reliable
+//!   receivers equals `deg_G(sender)`; only a shortfall walks the neighbor
+//!   list to name the missing receivers and excuse the crashed ones.
+//!   Retiring any instance is O(deg_G + deliveries): each neighbor's
+//!   connected list drops it from the front (instances retire roughly
+//!   oldest first) or else by binary search, and each receiver it
+//!   protected loses that protection;
+//! * an event in the **same tick** as the one before does no clock work
+//!   (the argument is on the private `advance`), and only a `bcast`, the
+//!   one event that can raise the peaks of [`OnlineStats`], updates them.
+//!
+//! Advancing the clock arms the receivers queued in the tick and fires the
+//! deadlines that closed, O(log receivers) per heap entry.
+//!
 //! ## The reference oracle
 //!
 //! The integration tests of this crate hold a post-hoc oracle
@@ -108,8 +139,13 @@ pub struct OnlineStats {
 struct LiveInstance {
     sender: NodeId,
     start: Time,
-    /// Receivers delivered so far (sorted).
+    /// Receivers delivered so far (sorted), `G′`-neighbors or not.
     delivered: Vec<NodeId>,
+    /// How many of `delivered` are `G`-neighbors of the sender.
+    reliable: usize,
+    /// Position in the sender's `G` adjacency of the first neighbor above
+    /// every receiver delivered so far.
+    next: usize,
 }
 
 struct RetiredInstance {
@@ -166,6 +202,14 @@ impl NodeFaults {
 
     fn overlaps(&self, lo: Time, hi: Time) -> bool {
         self.intervals.iter().any(|&(c, r)| c <= hi && r > lo)
+    }
+}
+
+/// Queues receiver `j` once for re-arming (see `OnlineValidator::rearm`).
+fn queue_rearm(rx: &mut [RxState], queue: &mut Vec<usize>, j: usize) {
+    if !rx[j].queued {
+        rx[j].queued = true;
+        queue.push(j);
     }
 }
 
@@ -351,7 +395,15 @@ impl OnlineValidator {
     /// receivers whose state changed at the old clock, fires progress
     /// deadlines that closed strictly before `t` and prunes retired
     /// instances whose straggler window has passed.
+    ///
+    /// Within a tick (`t == now`) there is nothing to do: the previous
+    /// advance left no armed deadline and no prune deadline before the
+    /// clock, handlers only queue re-arms, and a retire pushes a prune
+    /// deadline `F_ack` past the clock.
     fn advance(&mut self, t: Time) {
+        if t == self.now {
+            return;
+        }
         if t > self.now {
             self.arm_queued();
         }
@@ -413,10 +465,7 @@ impl OnlineValidator {
     /// the clock has moved past it — so only the receiver's state at the
     /// end of the tick can fire.
     fn rearm(&mut self, j: usize) {
-        if !self.rx[j].queued {
-            self.rx[j].queued = true;
-            self.rearm_queue.push(j);
-        }
+        queue_rearm(&mut self.rx, &mut self.rearm_queue, j);
     }
 
     /// Arms every queued receiver.
@@ -476,21 +525,27 @@ impl OnlineValidator {
             });
         }
         self.in_flight_of[e.node.index()] = Some(id);
-        self.live.insert(
-            id,
-            LiveInstance {
-                sender: e.node,
-                start: e.time,
-                delivered: Vec::new(),
-            },
-        );
-        for i in 0..self.dual.reliable_neighbors(e.node).len() {
-            let j = self.dual.reliable_neighbors(e.node)[i];
-            let connected = &mut self.rx[j.index()].connected;
-            let at = connected.partition_point(|&entry| entry < (e.time, id));
-            connected.insert(at, (e.time, id));
-            self.rearm(j.index());
+        let entry = (e.time, id);
+        let (rx, rearm_queue) = (&mut self.rx, &mut self.rearm_queue);
+        for &j in self.dual.reliable_neighbors(e.node) {
+            // A runtime broadcasts in ascending (start, id), so the new
+            // instance almost always sorts last.
+            let connected = &mut rx[j.index()].connected;
+            if connected.back().map_or(true, |&last| last < entry) {
+                connected.push_back(entry);
+            } else {
+                let at = connected.partition_point(|&other| other < entry);
+                connected.insert(at, entry);
+            }
+            queue_rearm(rx, rearm_queue, j.index());
         }
+        let inst = LiveInstance {
+            sender: e.node,
+            start: e.time,
+            delivered: Vec::new(),
+            reliable: 0,
+            next: 0,
+        };
         // A broadcast in the same tick as its sender's crash (the runtime
         // processes time-0 wake-ups before same-tick faults; a replayed
         // stream merges faults first) is silenced on the spot: the crash
@@ -502,7 +557,9 @@ impl OnlineValidator {
                 .last()
                 .is_some_and(|&(c, _)| c == e.time)
         {
-            self.retire(id, e.time, false);
+            self.retire(id, inst, e.time, false);
+        } else {
+            self.live.insert(id, inst);
         }
     }
 
@@ -510,24 +567,56 @@ impl OnlineValidator {
         let id = e.instance;
         let receiver = e.node;
         if let Some(inst) = self.live.get_mut(&id) {
-            if !self.dual.g_prime().has_edge(inst.sender, receiver) {
+            // A runtime mostly delivers in ascending receiver order: then
+            // the receiver sorts last among those delivered, and it is
+            // looked for only among the reliable neighbors above them,
+            // where it usually comes first.
+            let reliable = self.dual.reliable_neighbors(inst.sender);
+            let appends = inst.delivered.last().map_or(true, |&last| last < receiver);
+            let is_reliable = if appends {
+                let above = &reliable[inst.next..];
+                let at = if above.first() == Some(&receiver) {
+                    Ok(0)
+                } else {
+                    above.binary_search(&receiver)
+                };
+                // `next` moves past the receiver's place, found or not.
+                match at {
+                    Ok(p) => inst.next += p + 1,
+                    Err(p) => inst.next += p,
+                }
+                at.is_ok()
+            } else {
+                reliable.binary_search(&receiver).is_ok()
+            };
+            if !is_reliable
+                && (self.dual.unreliable_neighbors(inst.sender))
+                    .binary_search(&receiver)
+                    .is_err()
+            {
                 self.violations.push(Violation::RcvToNonNeighbor {
                     instance: id,
                     receiver,
                 });
             }
-            match inst.delivered.binary_search(&receiver) {
-                Ok(_) => {
-                    self.violations.push(Violation::DuplicateRcv {
-                        instance: id,
-                        receiver,
-                    });
-                }
-                Err(at) => {
-                    inst.delivered.insert(at, receiver);
-                    self.rx[receiver.index()].protectors += 1;
-                    self.rearm(receiver.index());
-                }
+            let fresh = if appends {
+                inst.delivered.push(receiver);
+                true
+            } else if let Err(at) = inst.delivered.binary_search(&receiver) {
+                inst.delivered.insert(at, receiver);
+                true
+            } else {
+                false
+            };
+            if fresh {
+                inst.reliable += usize::from(is_reliable);
+                self.rx[receiver.index()].protectors += 1;
+                self.rearm(receiver.index());
+            } else {
+                self.violations.push(Violation::DuplicateRcv {
+                    instance: id,
+                    receiver,
+                });
             }
         } else if let Some(inst) = self.retired.get(&id) {
             if !self.dual.g_prime().has_edge(inst.sender, receiver) {
@@ -555,7 +644,7 @@ impl OnlineValidator {
 
     fn handle_termination(&mut self, e: &TraceEntry) {
         let id = e.instance;
-        let Some(inst) = self.live.get(&id) else {
+        let Some(inst) = self.live.remove(&id) else {
             if self.retired.contains_key(&id) {
                 self.violations
                     .push(Violation::MultipleTerminations { instance: id });
@@ -571,16 +660,22 @@ impl OnlineValidator {
             });
         }
         if e.kind == TraceKind::Ack {
-            for &receiver in self.dual.reliable_neighbors(inst.sender) {
-                // A receiver crashed at any point of the instance's
-                // lifetime is exempt: its delivery may have been silenced.
-                if inst.delivered.binary_search(&receiver).is_err()
-                    && !self.faults[receiver.index()].overlaps(inst.start, e.time)
-                {
-                    self.violations.push(Violation::MissingReliableDelivery {
-                        instance: id,
-                        receiver,
-                    });
+            let reliable = self.dual.reliable_neighbors(inst.sender);
+            // A full count of reliable receivers leaves none missing; only
+            // a shortfall walks the neighbor list.
+            if inst.reliable < reliable.len() {
+                for &receiver in reliable {
+                    // A receiver crashed at any point of the instance's
+                    // lifetime is exempt: its delivery may have been
+                    // silenced.
+                    if inst.delivered.binary_search(&receiver).is_err()
+                        && !self.faults[receiver.index()].overlaps(inst.start, e.time)
+                    {
+                        self.violations.push(Violation::MissingReliableDelivery {
+                            instance: id,
+                            receiver,
+                        });
+                    }
                 }
             }
             let delay = e.time.saturating_since(inst.start).ticks();
@@ -591,35 +686,36 @@ impl OnlineValidator {
                 });
             }
         }
-        self.retire(id, e.time, true);
+        self.retire(id, inst, e.time, true);
     }
 
-    /// Retires a live instance at `term`: releases its progress state
-    /// (connected spans end, protected receivers convert to floor
-    /// updates) and parks a straggler record for `F_ack`.
-    fn retire(&mut self, id: InstanceId, term: Time, by_event: bool) {
-        let inst = self.live.remove(&id).expect("retire of a live instance");
+    /// Retires instance `id`, already out of `live`, at `term`: releases
+    /// its progress state (connected spans end, protected receivers
+    /// convert to floor updates) and parks a straggler record for `F_ack`.
+    fn retire(&mut self, id: InstanceId, inst: LiveInstance, term: Time, by_event: bool) {
         if self.in_flight_of[inst.sender.index()] == Some(id) {
             self.in_flight_of[inst.sender.index()] = None;
         }
-        for i in 0..self.dual.reliable_neighbors(inst.sender).len() {
-            let j = self.dual.reliable_neighbors(inst.sender)[i];
-            let connected = &mut self.rx[j.index()].connected;
-            // May be absent if a progress violation already reported this
-            // pair.
-            if let Ok(at) = connected.binary_search(&(inst.start, id)) {
+        let entry = (inst.start, id);
+        let (rx, rearm_queue) = (&mut self.rx, &mut self.rearm_queue);
+        for &j in self.dual.reliable_neighbors(inst.sender) {
+            // Instances retire roughly oldest first, so the entry is
+            // usually at the front. It may be absent if a progress
+            // violation already reported this pair.
+            let connected = &mut rx[j.index()].connected;
+            if connected.front() == Some(&entry) {
+                connected.pop_front();
+            } else if let Ok(at) = connected.binary_search(&entry) {
                 connected.remove(at);
             }
-            self.rearm(j.index());
+            queue_rearm(rx, rearm_queue, j.index());
         }
         let next_floor = term + Duration::TICK;
         for &receiver in &inst.delivered {
-            let rx = &mut self.rx[receiver.index()];
-            rx.protectors -= 1;
-            rx.floor = rx.floor.max(next_floor);
-        }
-        for &receiver in &inst.delivered {
-            self.rearm(receiver.index());
+            let state = &mut rx[receiver.index()];
+            state.protectors -= 1;
+            state.floor = state.floor.max(next_floor);
+            queue_rearm(rx, rearm_queue, receiver.index());
         }
         self.retired.insert(
             id,
@@ -647,11 +743,15 @@ impl Observer for OnlineValidator {
             });
         }
         match e.kind {
-            TraceKind::Bcast => self.handle_bcast(e),
+            // Only a broadcast adds an instance record, so only it can
+            // raise the peaks.
+            TraceKind::Bcast => {
+                self.handle_bcast(e);
+                self.track_peaks();
+            }
             TraceKind::Rcv => self.handle_rcv(e),
             TraceKind::Ack | TraceKind::Abort => self.handle_termination(e),
         }
-        self.track_peaks();
     }
 
     fn on_fault(&mut self, time: Time, node: NodeId, kind: FaultKind) {
@@ -668,11 +768,11 @@ impl Observer for OnlineValidator {
                     // The sender's in-flight instance is silenced here. A
                     // crash after the ack window closed excuses nothing: a
                     // live sender would already have terminated.
-                    let start = self.live[&id].start;
-                    if time > start + self.config.f_ack() {
+                    let inst = self.live.remove(&id).expect("in flight is live");
+                    if time > inst.start + self.config.f_ack() {
                         self.late_crash_unterminated.push(id);
                     }
-                    self.retire(id, time, false);
+                    self.retire(id, inst, time, false);
                 }
                 self.rearm(v);
             }
@@ -843,5 +943,30 @@ mod tests {
     #[test]
     fn duplicate_bcast_is_rejected() {
         assert_rows(&["duplicate_bcast_is_rejected"]);
+    }
+
+    // The next four rows exercise the fallbacks behind the fast paths: an
+    // instance that does not sort last among a receiver's connected
+    // instances, a receiver that does not sort last among an instance's
+    // deliveries, and an ack whose reliable receivers fall short.
+
+    #[test]
+    fn same_tick_bcasts_in_descending_ids_stay_in_start_order() {
+        assert_rows(&["same_tick_bcasts_in_descending_ids_stay_in_start_order"]);
+    }
+
+    #[test]
+    fn unreliable_delivery_does_not_stand_in_for_a_reliable_one() {
+        assert_rows(&["unreliable_delivery_does_not_stand_in_for_a_reliable_one"]);
+    }
+
+    #[test]
+    fn duplicate_rcv_after_an_out_of_order_delivery() {
+        assert_rows(&["duplicate_rcv_after_an_out_of_order_delivery"]);
+    }
+
+    #[test]
+    fn crash_exempts_only_the_crashed_receiver() {
+        assert_rows(&["crash_exempts_only_the_crashed_receiver"]);
     }
 }

@@ -180,110 +180,172 @@ fn recovery_reopens_the_node_without_breaking_conformance() {
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property in `cargo test`.
+const CASES: u32 = 64;
 
-    /// The acceptance property of the fault subsystem: for any topology,
-    /// scheduler, and random crash schedule, the runtime's execution
-    /// passes the crash-conditioned validator — crashes never manufacture
-    /// spurious guarantee violations. The streaming [`OnlineValidator`]
-    /// (both attached live and replayed over the recorded trace) must
-    /// report the *identical* violation set as the post-hoc oracle.
-    #[test]
-    fn online_and_posthoc_validators_agree_on_faulted_runtime_traces(
-        seed in 0u64..1_000_000,
-        topo in 0u8..4,
-        n in 3usize..10,
-        sources in 1usize..4,
-        crash_count in 0usize..5,
-        window in 5u64..80,
-        f_prog in 1u64..4,
-        f_ack_mult in 2u64..10,
-        policy_pick in 0u8..3,
-    ) {
-        let crash_count = crash_count.min(n - 1);
-        let sources = sources.min(n);
-        let dual = topology(topo, n);
-        let cfg = MacConfig::from_ticks(f_prog, f_prog * f_ack_mult);
-        let mut rng = SimRng::seed(seed);
-        let plan = FaultPlan::random_crashes(n, crash_count, Time::from_ticks(window), &mut rng);
-        let policy: Box<dyn Policy> = match policy_pick {
+/// Cases per property in the long run, the `#[ignore]`d copies below:
+/// `cargo test --release -p amac-mac --test fault_conformance -- --ignored`.
+const LONG_CASES: u32 = 10_000;
+
+/// One faulted execution: a topology, a random crash schedule inside a
+/// window, bounds and a scheduler.
+#[derive(Debug)]
+struct Scenario {
+    seed: u64,
+    topo: u8,
+    n: usize,
+    sources: usize,
+    crash_count: usize,
+    window: u64,
+    f_prog: u64,
+    f_ack_mult: u64,
+    policy_pick: u8,
+}
+
+fn scenarios() -> impl Strategy<Value = Scenario> {
+    (
+        (0u64..1_000_000, 0u8..4, 3usize..10, 1usize..4, 0usize..5),
+        (5u64..80, 1u64..4, 2u64..10, 0u8..3),
+    )
+        .prop_map(
+            |((seed, topo, n, sources, crash_count), (window, f_prog, f_ack_mult, policy_pick))| {
+                Scenario {
+                    seed,
+                    topo,
+                    n,
+                    sources,
+                    crash_count,
+                    window,
+                    f_prog,
+                    f_ack_mult,
+                    policy_pick,
+                }
+            },
+        )
+}
+
+impl Scenario {
+    /// Runs the execution with a trace observer and a streaming validator
+    /// attached; returns the dual, the bounds, the recorded trace, the live
+    /// report and the random stream that drew the crash plan.
+    fn run(&self) -> (DualGraph, MacConfig, Trace, ValidationReport, SimRng) {
+        let crash_count = self.crash_count.min(self.n - 1);
+        let sources = self.sources.min(self.n);
+        let dual = topology(self.topo, self.n);
+        let cfg = MacConfig::from_ticks(self.f_prog, self.f_prog * self.f_ack_mult);
+        let mut rng = SimRng::seed(self.seed);
+        let window = Time::from_ticks(self.window);
+        let plan = FaultPlan::random_crashes(self.n, crash_count, window, &mut rng);
+        let policy: Box<dyn Policy> = match self.policy_pick {
             0 => Box::new(EagerPolicy::new()),
             1 => Box::new(LazyPolicy::new().prefer_duplicates()),
-            _ => Box::new(RandomPolicy::new(seed ^ 0xFA57)),
+            _ => Box::new(RandomPolicy::new(self.seed ^ 0xFA57)),
         };
-        let (trace, online) =
-            run_with_plan_validated(&dual, cfg, chatters(n, sources), policy, plan);
-        assert_silent_after_crash(&trace);
-        let posthoc = validate(&trace, &dual, &cfg, true);
-        prop_assert!(posthoc.is_empty(), "seed {}: {:?}", seed, posthoc);
-        prop_assert_eq!(
-            violation_set(online.violations()),
-            violation_set(&posthoc),
-            "seed {}: live online validator disagrees with post-hoc\nonline: {}\npost-hoc: {:?}",
-            seed, online, posthoc
-        );
-        let replayed = OnlineValidator::replay(&trace, &dual, &cfg, true);
-        prop_assert_eq!(
-            violation_set(replayed.violations()),
-            violation_set(&posthoc),
-            "seed {}: replayed online validator disagrees with post-hoc",
-            seed
-        );
+        let nodes = chatters(self.n, sources);
+        let (trace, online) = run_with_plan_validated(&dual, cfg, nodes, policy, plan);
+        (dual, cfg, trace, online, rng)
+    }
+}
+
+/// The acceptance property of the fault subsystem: for any topology,
+/// scheduler, and random crash schedule, the runtime's execution passes
+/// the crash-conditioned validator — crashes never manufacture spurious
+/// guarantee violations. The streaming [`OnlineValidator`] (both attached
+/// live and replayed over the recorded trace) must report the *identical*
+/// violation set as the post-hoc oracle.
+fn validators_agree_on_the_runtime_trace(s: &Scenario) -> Result<(), TestCaseError> {
+    let (dual, cfg, trace, online, _) = s.run();
+    assert_silent_after_crash(&trace);
+    let posthoc = validate(&trace, &dual, &cfg, true);
+    prop_assert!(posthoc.is_empty(), "{:?}: {:?}", s, posthoc);
+    prop_assert_eq!(
+        violation_set(online.violations()),
+        violation_set(&posthoc),
+        "{:?}: live online validator disagrees with post-hoc\nonline: {}\npost-hoc: {:?}",
+        s,
+        online,
+        posthoc
+    );
+    let replayed = OnlineValidator::replay(&trace, &dual, &cfg, true);
+    prop_assert_eq!(
+        violation_set(replayed.violations()),
+        violation_set(&posthoc),
+        "{:?}: replayed online validator disagrees with post-hoc",
+        s
+    );
+    Ok(())
+}
+
+/// The same agreement where violations happen: a share of the `rcv`s of a
+/// faulted runtime trace is deleted (never the last entry, which fixes the
+/// post-hoc horizon), so receivers starve, miss reliable deliveries and
+/// break progress windows. Fault records after the last entry are dropped:
+/// the streaming validator judges windows against the stream's own clock,
+/// which they would move past the horizon (the documented margin of
+/// `amac_mac::online`).
+fn validators_agree_with_dropped_receives(
+    s: &Scenario,
+    drop_percent: u64,
+) -> Result<(), TestCaseError> {
+    let (dual, cfg, trace, _, mut rng) = s.run();
+    let entries = trace.entries();
+    let mut thinned = Trace::new();
+    for (i, e) in entries.iter().enumerate() {
+        let last = i + 1 == entries.len();
+        if e.kind == TraceKind::Rcv && !last && rng.below(100) < drop_percent {
+            continue;
+        }
+        thinned.push(e.time, e.instance, e.node, e.kind, e.key);
+    }
+    let horizon = trace.last_time().unwrap_or(Time::ZERO);
+    for f in trace.faults().iter().filter(|f| f.time <= horizon) {
+        thinned.push_fault(f.time, f.node, f.kind);
+    }
+    let posthoc = validate(&thinned, &dual, &cfg, true);
+    let replayed = OnlineValidator::replay(&thinned, &dual, &cfg, true);
+    prop_assert_eq!(
+        violation_set(replayed.violations()),
+        violation_set(&posthoc),
+        "{:?}: online validator disagrees with post-hoc\nonline: {}\npost-hoc: {:?}",
+        s,
+        replayed,
+        posthoc
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn online_and_posthoc_validators_agree_on_faulted_runtime_traces(s in scenarios()) {
+        validators_agree_on_the_runtime_trace(&s)?;
     }
 
-    /// The same agreement where violations happen: a share of the `rcv`s
-    /// of a faulted runtime trace is deleted (never the last entry, which
-    /// fixes the post-hoc horizon), so receivers starve, miss reliable
-    /// deliveries and break progress windows. Fault records after the last
-    /// entry are dropped: the streaming validator judges windows against
-    /// the stream's own clock, which they would move past the horizon
-    /// (the documented margin of `amac_mac::online`).
     #[test]
     fn online_and_posthoc_validators_agree_on_traces_with_dropped_receives(
-        seed in 0u64..1_000_000,
-        topo in 0u8..4,
-        n in 3usize..10,
-        sources in 1usize..4,
-        crash_count in 0usize..5,
-        window in 5u64..80,
-        f_prog in 1u64..4,
-        f_ack_mult in 2u64..10,
-        policy_pick in 0u8..3,
+        s in scenarios(),
         drop_percent in 1u64..100,
     ) {
-        let crash_count = crash_count.min(n - 1);
-        let sources = sources.min(n);
-        let dual = topology(topo, n);
-        let cfg = MacConfig::from_ticks(f_prog, f_prog * f_ack_mult);
-        let mut rng = SimRng::seed(seed);
-        let plan = FaultPlan::random_crashes(n, crash_count, Time::from_ticks(window), &mut rng);
-        let policy: Box<dyn Policy> = match policy_pick {
-            0 => Box::new(EagerPolicy::new()),
-            1 => Box::new(LazyPolicy::new().prefer_duplicates()),
-            _ => Box::new(RandomPolicy::new(seed ^ 0xFA57)),
-        };
-        let trace = run_with_plan(&dual, cfg, chatters(n, sources), policy, plan);
-        let entries = trace.entries();
-        let mut thinned = Trace::new();
-        for (i, e) in entries.iter().enumerate() {
-            let last = i + 1 == entries.len();
-            if e.kind == TraceKind::Rcv && !last && rng.below(100) < drop_percent {
-                continue;
-            }
-            thinned.push(e.time, e.instance, e.node, e.kind, e.key);
-        }
-        let horizon = trace.last_time().unwrap_or(Time::ZERO);
-        for f in trace.faults().iter().filter(|f| f.time <= horizon) {
-            thinned.push_fault(f.time, f.node, f.kind);
-        }
-        let posthoc = validate(&thinned, &dual, &cfg, true);
-        let replayed = OnlineValidator::replay(&thinned, &dual, &cfg, true);
-        prop_assert_eq!(
-            violation_set(replayed.violations()),
-            violation_set(&posthoc),
-            "seed {}: online validator disagrees with post-hoc\nonline: {}\npost-hoc: {:?}",
-            seed, replayed, posthoc
-        );
+        validators_agree_with_dropped_receives(&s, drop_percent)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(LONG_CASES))]
+
+    #[test]
+    #[ignore = "long run: --release -- --ignored"]
+    fn long_run_validators_agree_on_faulted_runtime_traces(s in scenarios()) {
+        validators_agree_on_the_runtime_trace(&s)?;
+    }
+
+    #[test]
+    #[ignore = "long run: --release -- --ignored"]
+    fn long_run_validators_agree_on_traces_with_dropped_receives(
+        s in scenarios(),
+        drop_percent in 1u64..100,
+    ) {
+        validators_agree_with_dropped_receives(&s, drop_percent)?;
     }
 }

@@ -311,6 +311,38 @@ fn table() -> Vec<Row> {
         row("fault_overlapping_user_broadcasts_rejected", line(3), (2, 10), TRUNCATED,
             trace(&[(0, 0, 0, Bcast, 0), (1, 1, 0, Bcast, 1)], &[]),
             vec![OverlappingBcasts { sender: n(0), first: i(0), second: i(1) }]),
+        // The leaves of a star broadcast i1, i5 and then i3 in one tick,
+        // so i3 sorts before i5 among the hub's connected instances. i1
+        // and i3 protect the hub and terminate; i5 starves it from t=3. Kept
+        // in arrival order instead, i3 would sit behind the larger i5 where
+        // no search finds it at i3's ack, and would be reported as well.
+        row("same_tick_bcasts_in_descending_ids_stay_in_start_order",
+            DualGraph::reliable(generators::star(4).unwrap()), (4, 64), QUIESCENT,
+            trace(&[(0, 1, 1, Bcast, 1), (0, 5, 2, Bcast, 5), (0, 3, 3, Bcast, 3),
+                    (0, 1, 0, Rcv, 1), (1, 3, 0, Rcv, 3), (1, 3, 3, Ack, 3),
+                    (2, 1, 1, Ack, 1), (20, 5, 0, Rcv, 5), (20, 5, 2, Ack, 5)], &[]),
+            vec![ProgressViolation { receiver: n(0), instance: i(5), window_start: t(3) }]),
+        // Node 0's one reliable neighbor is node 1; node 2 is a `G′`-only
+        // neighbor. Its instance reaches node 2 alone, so a count of every
+        // receiver would equal `deg_G(0)` = 1.
+        row("unreliable_delivery_does_not_stand_in_for_a_reliable_one",
+            DualGraph::new(generators::line(3).unwrap(), generators::complete(3).unwrap())
+                .unwrap(),
+            (2, 8), QUIESCENT,
+            trace(&[(0, 0, 0, Bcast, 1), (1, 0, 2, Rcv, 1), (1, 0, 0, Ack, 1)], &[]),
+            vec![MissingReliableDelivery { instance: i(0), receiver: n(1) }]),
+        // Node 2 hears node 1's instance before node 0 does, then hears it
+        // again. Appended out of order, node 2 would no longer sort last,
+        // and the repeat would pass as a first delivery.
+        row("duplicate_rcv_after_an_out_of_order_delivery", line(3), (2, 8), QUIESCENT,
+            trace(&[(0, 0, 1, Bcast, 1), (1, 0, 2, Rcv, 1), (1, 0, 0, Rcv, 1),
+                    (1, 0, 2, Rcv, 1), (2, 0, 1, Ack, 1)], &[]),
+            vec![DuplicateRcv { instance: i(0), receiver: n(2) }]),
+        // Node 1's instance reaches neither reliable neighbor: node 0 is
+        // excused by its crash, node 2 is not.
+        row("crash_exempts_only_the_crashed_receiver", line(3), (2, 8), QUIESCENT,
+            trace(&[(0, 0, 1, Bcast, 1), (2, 0, 1, Ack, 1)], &[(1, 0, Crash)]),
+            vec![MissingReliableDelivery { instance: i(0), receiver: n(2) }]),
     ]
 }
 
