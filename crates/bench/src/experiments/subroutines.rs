@@ -41,7 +41,7 @@ pub struct Milestones {
 
 /// Runs FMMB while checking node-state milestones once per round, until
 /// MMB completion or quiescence. `options` selects the observers (see
-/// [`Instruments`]); its horizon and stop rule do not apply, and only its
+/// [`Instruments`]); its stop rule does not apply, and only its
 /// recording outlives the run (no validator verdict or metrics are
 /// returned). Observers do not disturb the execution, so the milestones
 /// are identical for any `options`.

@@ -19,9 +19,10 @@
 //!    deliveries is explored through exactly one representative; the
 //!    permutations are never enumerated.
 //! 3. **Fingerprint deduplication** — schedules whose executions emit an
-//!    identical event stream (FNV-1a digest, the `amac-store` function)
-//!    are counted as duplicates; only the first representative feeds the
-//!    property statistics.
+//!    identical event stream (equal fingerprints from the run's
+//!    `OnlineValidator`, which folds every event it checks) are counted as
+//!    duplicates. Every schedule is still executed and judged; the walk
+//!    stops at the first violation.
 //!
 //! A depth bound turns the walk into *bounded* exhaustion: decisions past
 //! the bound are pinned to their defaults (alternative 0), which keeps
@@ -64,8 +65,7 @@ pub struct CheckStats {
     pub schedules: u64,
     /// Distinct execution fingerprints among them.
     pub distinct: u64,
-    /// Schedules whose execution duplicated an earlier fingerprint
-    /// (pruned from property accounting).
+    /// Schedules whose execution duplicated an earlier fingerprint.
     pub duplicates: u64,
     /// Total MAC events across all executions.
     pub events: u64,

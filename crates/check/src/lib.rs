@@ -23,7 +23,7 @@
 //!   pipeline.
 //! * [`explore()`] — the stateless DFS controller with fingerprint
 //!   deduplication and depth/step bounds; returns a [`CheckReport`] with
-//!   explored/pruned statistics.
+//!   explored/duplicate statistics.
 //! * [`shrink()`] — the delta-debugging minimizer invoked on violation.
 //! * [`check_fixture`] — replays an emitted `.amactrace` counterexample
 //!   through stream-level properties, reproducing the violation from the
@@ -57,8 +57,8 @@ pub mod stream;
 
 pub use explore::{explore, Bounds, CheckReport, CheckStats, Counterexample};
 pub use scenario::{
-    trace_fingerprint, ConsensusScenario, ElectionScenario, FloodScenario, RunVerdict, Scenario,
-    PROP_COMPLETION, PROP_CONSENSUS, PROP_ELECTION, PROP_MAC,
+    ConsensusScenario, ElectionScenario, FloodScenario, RunVerdict, Scenario, PROP_COMPLETION,
+    PROP_CONSENSUS, PROP_ELECTION, PROP_MAC,
 };
 pub use schedule::{Draw, ReplaySource};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -27,7 +27,6 @@
 use crate::schedule::ReplaySource;
 use amac_core::{run_bmmb, Assignment, RunOptions};
 use amac_graph::{generators, DualGraph, NodeId};
-use amac_mac::trace::Trace;
 use amac_mac::{ChoicePoint, ChoicePolicy, ChoiceSource, FaultPlan, MacConfig, ValidationReport};
 use amac_proto::consensus::{run_consensus, ConsensusParams};
 use amac_proto::election::run_election_with_backoffs;
@@ -52,8 +51,10 @@ pub struct RunVerdict {
     pub detail: Option<String>,
     /// MAC-level events the execution emitted.
     pub events: u64,
-    /// FNV-1a fingerprint of the emitted event stream — two schedules
-    /// with equal fingerprints induced the same observable execution.
+    /// The validator's fingerprint of the emitted event stream
+    /// ([`OnlineStats::fingerprint`](amac_mac::OnlineStats::fingerprint))
+    /// — two schedules with equal fingerprints induced the same observable
+    /// execution.
     pub fingerprint: u64,
 }
 
@@ -68,27 +69,12 @@ pub trait Scenario {
     fn run(&self, source: &mut ReplaySource, record: Option<&Path>) -> RunVerdict;
 }
 
-/// Fingerprint of a recorded trace: FNV-1a (the workspace's canonical
-/// digest function, [`amac_sim::fnv1a64`]) over every entry's canonical
-/// byte encoding, in emission order.
-pub fn trace_fingerprint(trace: &Trace) -> u64 {
-    let mut bytes = Vec::with_capacity(trace.entries().len() * 29);
-    for e in trace.entries() {
-        bytes.extend_from_slice(&e.time.ticks().to_le_bytes());
-        bytes.extend_from_slice(&e.instance.seq().to_le_bytes());
-        bytes.extend_from_slice(&(e.node.index() as u32).to_le_bytes());
-        bytes.push(e.kind.code());
-        bytes.extend_from_slice(&e.key.0.to_le_bytes());
-    }
-    amac_sim::fnv1a64(&bytes)
-}
-
 fn mac_verdict(validation: Option<&ValidationReport>) -> Option<String> {
     validation.and_then(|v| v.violations().first().map(std::string::ToString::to_string))
 }
 
 fn run_options(record: Option<&Path>) -> RunOptions {
-    let options = RunOptions::default().capturing_trace();
+    let options = RunOptions::default();
     match record {
         // Schedules have no seed; the header seed is metadata only.
         Some(path) => options.recording(path, 0),
@@ -226,7 +212,7 @@ impl Scenario for ConsensusScenario {
             ChoicePolicy::new(&mut *source),
             &run_options(record),
         );
-        let trace = report.trace.as_ref().expect("capturing_trace keeps it");
+        let stats = report.validator_stats.expect("checked runs are validated");
         let (property, detail) = if let Some(d) = mac_verdict(report.validation.as_ref()) {
             (Some(PROP_MAC), Some(d))
         } else if let Some(v) = report.check.violations().first() {
@@ -237,8 +223,8 @@ impl Scenario for ConsensusScenario {
         RunVerdict {
             property,
             detail,
-            events: trace.entries().len() as u64,
-            fingerprint: trace_fingerprint(trace),
+            events: stats.events,
+            fingerprint: stats.fingerprint,
         }
     }
 }
@@ -289,7 +275,7 @@ impl Scenario for ElectionScenario {
             ChoicePolicy::new(&mut *source),
             &run_options(record),
         );
-        let trace = report.trace.as_ref().expect("capturing_trace keeps it");
+        let stats = report.validator_stats.expect("checked runs are validated");
         let (property, detail) = if let Some(d) = mac_verdict(report.validation.as_ref()) {
             (Some(PROP_MAC), Some(d))
         } else if let Some(v) = report.check.violations().first() {
@@ -300,8 +286,8 @@ impl Scenario for ElectionScenario {
         RunVerdict {
             property,
             detail,
-            events: trace.entries().len() as u64,
-            fingerprint: trace_fingerprint(trace),
+            events: stats.events,
+            fingerprint: stats.fingerprint,
         }
     }
 }
@@ -344,7 +330,7 @@ impl Scenario for FloodScenario {
             ChoicePolicy::new(&mut *source),
             &run_options(record),
         );
-        let trace = report.trace.as_ref().expect("capturing_trace keeps it");
+        let stats = report.validator_stats.expect("checked runs are validated");
         let (property, detail) = if let Some(d) = mac_verdict(report.validation.as_ref()) {
             (Some(PROP_MAC), Some(d))
         } else if report.completion.is_none() {
@@ -358,8 +344,8 @@ impl Scenario for FloodScenario {
         RunVerdict {
             property,
             detail,
-            events: trace.entries().len() as u64,
-            fingerprint: trace_fingerprint(trace),
+            events: stats.events,
+            fingerprint: stats.fingerprint,
         }
     }
 }

@@ -6,7 +6,6 @@ use super::params::FmmbParams;
 use crate::harness::{InstrumentReport, Instruments, RunOptions};
 use crate::mmb::{Assignment, CompletionTracker, Delivered};
 use amac_graph::{algo, DualGraph, NodeId, NodeSet};
-use amac_mac::trace::Trace;
 use amac_mac::{MacConfig, OnlineStats, Policy, RunOutcome, Runtime, ValidationReport};
 use amac_sim::stats::Counters;
 use amac_sim::{SimRng, Time};
@@ -37,14 +36,14 @@ pub struct FmmbReport {
     /// Peak-memory statistics of the streaming validator, when validation
     /// ran.
     pub validator_stats: Option<OnlineStats>,
-    /// The recorded execution trace, when [`RunOptions::keep_trace`] was
-    /// set.
-    pub trace: Option<Trace>,
     /// Total rounds in the schedule (for round-based accounting).
     pub schedule_rounds: u64,
-    /// Always `None`. The benchmark under `perfbench/` builds this report
-    /// as a struct literal that names the field, so the field stays, with
-    /// a type that can hold no value, until that literal drops it.
+    /// Always `None`, as is `shard_stats`. The benchmark under
+    /// `perfbench/` builds this report as a struct literal that names both
+    /// fields, so they stay, with a type that can hold no value, until
+    /// that literal drops them.
+    pub trace: Option<std::convert::Infallible>,
+    /// Always `None`: see [`trace`](FmmbReport::trace).
     pub shard_stats: Option<std::convert::Infallible>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
     /// set.
@@ -165,7 +164,7 @@ pub fn run_fmmb<P: Policy>(
         if options.stop_on_completion && tracker.is_complete() {
             break RunOutcome::Stopped;
         }
-        let step_outcome = rt.run_until_next(options.horizon);
+        let step_outcome = rt.run_until_next(Time::MAX);
         for rec in rt.drain_outputs() {
             let Delivered(id) = rec.out;
             tracker.record(rec.time, rec.node, id);
@@ -186,7 +185,6 @@ pub fn run_fmmb<P: Policy>(
     let InstrumentReport {
         validation,
         validator_stats,
-        trace,
         metrics,
     } = instruments.finish(&mut rt, outcome);
 
@@ -201,8 +199,8 @@ pub fn run_fmmb<P: Policy>(
         counters: rt.counters(),
         validation,
         validator_stats,
-        trace,
         schedule_rounds: schedule.total_rounds(),
+        trace: None,
         shard_stats: None,
         metrics,
     }

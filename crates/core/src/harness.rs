@@ -5,10 +5,9 @@
 use crate::bmmb::Bmmb;
 use crate::mmb::{Assignment, CompletionTracker, Delivered};
 use amac_graph::{DualGraph, NodeId};
-use amac_mac::trace::Trace;
 use amac_mac::{
     Automaton, FaultPlan, MacConfig, ObserverHandle, OnlineStats, OnlineValidator, Policy,
-    RunOutcome, Runtime, TraceObserver, ValidationReport,
+    RunOutcome, Runtime, ValidationReport,
 };
 use amac_obs::{MetricsObserver, MetricsReport, SpanObserver};
 use amac_sim::stats::Counters;
@@ -22,20 +21,12 @@ use std::path::{Path, PathBuf};
 pub struct RunOptions {
     /// Check the execution against the MAC model by attaching a streaming
     /// [`OnlineValidator`] — O(in-flight) memory, no trace retention, so
-    /// it is cheap enough to leave on for large sweeps.
+    /// it is cheap enough to leave on for large sweeps. Its
+    /// [`OnlineStats`] also count and fingerprint the event stream.
     pub validate: bool,
-    /// Attach a [`TraceObserver`] and return the recorded [`Trace`] in the
-    /// report, for callers that consume the whole execution in memory
-    /// (the model checker fingerprints every schedule's event stream).
-    /// This is the only option that retains O(events) state; to keep an
-    /// execution past the run, [`record`](RunOptions::record) it instead.
-    pub keep_trace: bool,
     /// Stop as soon as the MMB problem is solved (all required deliveries
     /// happened) instead of running the algorithm to quiescence.
     pub stop_on_completion: bool,
-    /// Hard time horizon; the run stops when the next event would exceed
-    /// it.
-    pub horizon: Time,
     /// Record the execution to this trace file by attaching a streaming
     /// [`amac_store::StoreObserver`] — O(1) memory, every MAC event and
     /// fault goes to disk in emission order, replayable with
@@ -57,9 +48,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             validate: true,
-            keep_trace: false,
             stop_on_completion: false,
-            horizon: Time::MAX,
             record: None,
             metrics: false,
             chrome_trace: None,
@@ -76,25 +65,9 @@ impl RunOptions {
         }
     }
 
-    /// Keeps the recorded trace in the report **and** validates the
-    /// execution. The model checker (`amac-check`) runs every schedule
-    /// this way: it fingerprints the in-memory trace and judges the run by
-    /// the verdict alongside, with no file per schedule.
-    pub fn capturing_trace(mut self) -> RunOptions {
-        self.keep_trace = true;
-        self.validate = true;
-        self
-    }
-
     /// Stops the simulation at the moment of MMB completion.
     pub fn stopping_on_completion(mut self) -> RunOptions {
         self.stop_on_completion = true;
-        self
-    }
-
-    /// Sets the time horizon.
-    pub fn with_horizon(mut self, horizon: Time) -> RunOptions {
-        self.horizon = horizon;
         self
     }
 
@@ -131,7 +104,6 @@ impl RunOptions {
 #[must_use = "call `finish` to seal the observers (an unsealed recording is unreadable)"]
 pub struct Instruments {
     validator: Option<ObserverHandle<OnlineValidator>>,
-    tracer: Option<ObserverHandle<TraceObserver>>,
     recorder: Option<ObserverHandle<StoreObserver>>,
     metrics: Option<ObserverHandle<MetricsObserver>>,
     spans: Option<(ObserverHandle<SpanObserver>, PathBuf)>,
@@ -143,18 +115,16 @@ pub struct Instruments {
 pub struct InstrumentReport {
     /// The streaming validator's verdict ([`RunOptions::validate`]).
     pub validation: Option<ValidationReport>,
-    /// Peak-memory statistics of the streaming validator
-    /// ([`RunOptions::validate`]).
+    /// Peak-memory statistics, event count and stream fingerprint of the
+    /// streaming validator ([`RunOptions::validate`]).
     pub validator_stats: Option<OnlineStats>,
-    /// The full execution trace ([`RunOptions::keep_trace`]).
-    pub trace: Option<Trace>,
     /// Deterministic sim-time metrics ([`RunOptions::metrics`]).
     pub metrics: Option<MetricsReport>,
 }
 
 impl Instruments {
     /// Attaches the observers `options` selects to a freshly built
-    /// runtime, in this order: [`OnlineValidator`], [`TraceObserver`],
+    /// runtime, in this order: [`OnlineValidator`],
     /// [`StoreObserver`] (whose header also digests `faults`),
     /// [`MetricsObserver`], [`SpanObserver`].
     ///
@@ -174,7 +144,6 @@ impl Instruments {
                 let validator = OnlineValidator::new(rt.dual().clone(), config);
                 rt.attach(validator)
             }),
-            tracer: options.keep_trace.then(|| rt.attach(TraceObserver::new())),
             recorder: options.record.as_ref().map(|(path, seed)| {
                 let store = StoreObserver::create(path, rt.dual(), config, *seed, faults)
                     .unwrap_or_else(|e| panic!("cannot record trace to {}: {e}", path.display()));
@@ -209,7 +178,6 @@ impl Instruments {
         let validator = self.validator.map(|handle| rt.detach(handle));
         let validator_stats = validator.as_ref().map(OnlineValidator::stats);
         let validation = validator.map(|validator| validator.into_report(quiescent));
-        let trace = self.tracer.map(|handle| rt.detach(handle).into_trace());
         if let Some(handle) = self.recorder {
             if let Err(e) = rt.detach(handle).finish(quiescent) {
                 panic!("cannot finalize trace recording: {e}");
@@ -224,7 +192,6 @@ impl Instruments {
         InstrumentReport {
             validation,
             validator_stats,
-            trace,
             metrics,
         }
     }
@@ -253,9 +220,6 @@ pub struct MmbReport {
     /// validation state stayed bounded by the in-flight instances), when
     /// validation ran.
     pub validator_stats: Option<OnlineStats>,
-    /// The recorded execution trace, when [`RunOptions::keep_trace`] was
-    /// set.
-    pub trace: Option<Trace>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
     /// set.
     pub metrics: Option<MetricsReport>,
@@ -325,7 +289,7 @@ where
         if options.stop_on_completion && tracker.is_complete() {
             break RunOutcome::Stopped;
         }
-        let step_outcome = rt.run_until_next(options.horizon);
+        let step_outcome = rt.run_until_next(Time::MAX);
         for rec in rt.drain_outputs() {
             deliveries += 1;
             let Delivered(id) = rec.out;
@@ -339,7 +303,6 @@ where
     let InstrumentReport {
         validation,
         validator_stats,
-        trace,
         metrics,
     } = instruments.finish(&mut rt, outcome);
 
@@ -353,7 +316,6 @@ where
         counters: rt.counters(),
         validation,
         validator_stats,
-        trace,
         metrics,
     }
 }
@@ -454,44 +416,12 @@ mod tests {
 
     #[test]
     fn horizon_truncates_unsolved_runs() {
-        let dual = line_dual(40);
-        let cfg = MacConfig::from_ticks(2, 100);
-        let a = Assignment::all_at(NodeId::new(0), 5);
-        let report = run_bmmb(
-            &dual,
-            cfg,
-            &a,
-            LazyPolicy::new(),
-            &RunOptions::default().with_horizon(Time::from_ticks(10)),
-        );
-        assert_eq!(report.outcome, RunOutcome::TimeLimit);
-        assert!(report.completion.is_none());
-        assert!(report.missing > 0);
+        let (report, outcome) =
+            instrumented_flood(&RunOptions::default(), 40, Time::from_ticks(10));
+        assert_eq!(outcome, RunOutcome::TimeLimit);
         // Truncated traces still validate (progress windows open at the
         // horizon are skipped).
-        assert!(report.validation.unwrap().is_ok());
-    }
-
-    #[test]
-    fn capturing_trace_returns_trace_and_validation() {
-        let dual = line_dual(8);
-        let cfg = MacConfig::from_ticks(2, 20);
-        let a = Assignment::all_at(NodeId::new(0), 2);
-        let fast = run_bmmb(&dual, cfg, &a, LazyPolicy::new(), &RunOptions::fast());
-        assert!(fast.trace.is_none(), "fast runs keep no trace");
-        let captured = run_bmmb(
-            &dual,
-            cfg,
-            &a,
-            LazyPolicy::new(),
-            &RunOptions::fast().capturing_trace(),
-        );
-        let trace = captured.trace.as_ref().expect("trace kept");
-        assert!(!trace.is_empty());
-        assert!(captured.validation.expect("validated").is_ok());
-        // Keeping the trace must not disturb the execution itself.
-        assert_eq!(captured.completion, fast.completion);
-        assert_eq!(captured.deliveries, fast.deliveries);
+        assert!(report.validation.expect("validated").is_ok());
     }
 
     #[test]
@@ -521,35 +451,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Runs BMMB on a 6-node line with `options` instrumented directly.
-    fn instrumented_flood(options: &RunOptions) -> (InstrumentReport, RunOutcome) {
-        let dual = line_dual(6);
+    /// Runs BMMB on an `n`-node line up to `horizon` with `options`
+    /// instrumented directly.
+    fn instrumented_flood(
+        options: &RunOptions,
+        n: usize,
+        horizon: Time,
+    ) -> (InstrumentReport, RunOutcome) {
+        let dual = line_dual(n);
         let nodes = (0..dual.len()).map(|_| Bmmb::new()).collect();
         let mut rt = Runtime::new(dual, MacConfig::from_ticks(2, 20), nodes, LazyPolicy::new());
         let instruments = Instruments::attach(options, &mut rt, None);
         for (node, msg) in Assignment::all_at(NodeId::new(0), 2).arrivals() {
             rt.inject(*node, *msg);
         }
-        let outcome = rt.run();
+        let outcome = rt.run_until(horizon);
         (instruments.finish(&mut rt, outcome), outcome)
     }
 
     #[test]
-    fn instruments_attach_and_seal_all_five_observers() {
+    fn instruments_attach_and_seal_all_four_observers() {
         let dir = std::env::temp_dir().join("amac-core-instruments-test");
         std::fs::create_dir_all(&dir).unwrap();
         let (record, chrome) = (dir.join("flood.amactrace"), dir.join("flood.json"));
         let options = RunOptions::default()
-            .capturing_trace()
             .recording(&record, 3)
             .with_metrics()
             .with_chrome_trace(&chrome);
-        let (report, outcome) = instrumented_flood(&options);
+        let (report, outcome) = instrumented_flood(&options, 6, Time::MAX);
         assert_eq!(outcome, RunOutcome::Idle);
         let validation = report.validation.expect("validated");
         assert!(validation.is_ok(), "{validation}");
         let stats = report.validator_stats.expect("validator stats");
-        assert!(!report.trace.expect("trace kept").is_empty());
+        assert!(stats.events > 0);
         assert!(report.metrics.expect("metrics collected").bcasts > 0);
         let live = amac_store::TraceSummary::for_live(&record, validation, stats).unwrap();
         let replayed =
@@ -568,10 +502,9 @@ mod tests {
     fn fast_options_attach_nothing() {
         // `fast()` names no recording or chrome-trace path, so there is
         // no file to write either.
-        let (report, _) = instrumented_flood(&RunOptions::fast());
+        let (report, _) = instrumented_flood(&RunOptions::fast(), 6, Time::MAX);
         assert!(report.validation.is_none());
         assert!(report.validator_stats.is_none());
-        assert!(report.trace.is_none());
         assert!(report.metrics.is_none());
     }
 

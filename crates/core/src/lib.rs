@@ -18,7 +18,7 @@
 //! * [`run_bmmb`] / [`run_fmmb`] — one-call experiment harnesses with
 //!   model-conformance validation.
 //! * [`RunOptions`] / [`Instruments`] — what a run observes, and the one
-//!   place that attaches those observers (streaming validator, trace,
+//!   place that attaches those observers (streaming validator,
 //!   `.amactrace` recorder, metrics, chrome-trace spans) to a runtime and
 //!   seals them into an [`InstrumentReport`]; every harness, the
 //!   `amac-proto` services included, goes through it.

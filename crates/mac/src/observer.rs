@@ -11,16 +11,19 @@
 //! Three observers ship with this crate:
 //!
 //! * [`TraceObserver`] — records the full [`Trace`], O(events) memory; the
-//!   pre-observer default behaviour, now opt-in. Attach it when you need
-//!   the whole execution in memory: the model checker's per-schedule
-//!   fingerprints, `repro replay --observer trace`, hand inspection, or a
-//!   trace for the post-hoc oracle that this crate's tests compare the
-//!   streaming validator against.
+//!   pre-observer default behaviour, now attached by hand only (no
+//!   harness keeps a trace). Attach it when you need the whole execution
+//!   in memory: `repro replay --observer trace`, the runtime's tests, hand
+//!   inspection, or a trace for the post-hoc oracle that this crate's
+//!   tests compare the streaming validator against.
 //! * [`CounterObserver`] — per-kind event counts, O(1) memory.
 //! * [`OnlineValidator`](crate::OnlineValidator) — checks the five MAC
 //!   guarantees *while the execution runs*, with memory proportional to
 //!   the in-flight state rather than the execution length (see
-//!   [`online`](crate::online)).
+//!   [`online`](crate::online)). It also counts the events and folds them
+//!   into an order-sensitive fingerprint
+//!   ([`OnlineStats`](crate::OnlineStats)), which is how the model checker
+//!   tells executions apart without keeping their traces.
 //!
 //! Downstream crates plug further observers into the same pipeline:
 //! `amac-store`'s `StoreObserver` streams the execution to a durable
@@ -34,8 +37,8 @@
 //! [`Runtime::observer`](crate::Runtime::observer) or reclaimed by value
 //! with [`Runtime::detach`](crate::Runtime::detach). The run harnesses do
 //! not call these themselves: `amac_core::Instruments` attaches the
-//! observers a `RunOptions` selects (validator, tracer, store, metrics,
-//! spans, in that order) and detaches and seals them when the run ends.
+//! observers a `RunOptions` selects (validator, store, metrics, spans, in
+//! that order) and detaches and seals them when the run ends.
 
 use crate::fault::FaultKind;
 use crate::trace::{Trace, TraceEntry, TraceKind};
@@ -130,10 +133,12 @@ impl ObserverSet {
 }
 
 /// Records the full execution [`Trace`] — the pre-observer default
-/// behaviour, now opt-in. O(events) memory; attach it only when a surface
-/// actually consumes the trace (schedule fingerprints,
-/// [`OnlineValidator::replay`](crate::OnlineValidator::replay), the test
-/// oracle).
+/// behaviour, now attached by hand only. O(events) memory; attach it only
+/// when a surface actually consumes the trace (`repro replay --observer
+/// trace`, [`OnlineValidator::replay`](crate::OnlineValidator::replay),
+/// the test oracle). To tell executions apart, compare the validator's
+/// [`OnlineStats::fingerprint`](crate::OnlineStats::fingerprint) instead;
+/// to keep an execution past the run, record it to an `.amactrace` file.
 ///
 /// # Examples
 ///

@@ -123,7 +123,10 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Peak-memory statistics of one finished [`OnlineValidator`] run, used to
 /// assert the streaming-memory contract in tests and to report "peak
-/// in-flight state" in the `scale` experiment.
+/// in-flight state" in the `scale` experiment, plus the count and
+/// fingerprint of the event stream it checked. A replay of a recording
+/// reproduces all of them, so equal stats also certify that the stored
+/// stream is the one the runtime emitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OnlineStats {
     /// Maximum number of live (broadcast, not yet terminated) instances
@@ -134,6 +137,29 @@ pub struct OnlineStats {
     pub peak_tracked: usize,
     /// Total MAC-level events processed.
     pub events: u64,
+    /// Order-sensitive fingerprint of the events processed: every field
+    /// of every event, in stream order (faults are left out). Equal
+    /// fingerprints mean, barring a 64-bit collision, the same event
+    /// stream; the model checker counts distinct executions by it.
+    pub fingerprint: u64,
+}
+
+/// Odd multipliers of the fingerprint fold (the xxHash64 primes).
+const FOLD_WHEN: u64 = 0x9E37_79B1_85EB_CA87;
+const FOLD_WHAT: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const FOLD_CHAIN: u64 = 0x1656_67B1_9E37_79F9;
+
+/// Folds event `e` into `fingerprint`. The fields fill two words, each of
+/// which changes whenever one of its fields does, and each word is
+/// multiplied by its own odd constant, so changing one field changes the
+/// event's contribution. The chain step (rotate, xor, multiply) is a
+/// bijection of the running value, so that change survives every later
+/// event, and the steps do not commute, so the order of events counts.
+fn fold(fingerprint: u64, e: &TraceEntry) -> u64 {
+    let actor = (e.node.index() as u64) << 8 | u64::from(e.kind.code());
+    let when = (e.time.ticks() ^ actor.rotate_left(32)).wrapping_mul(FOLD_WHEN);
+    let what = (e.key.0 ^ e.instance.seq().rotate_left(32)).wrapping_mul(FOLD_WHAT);
+    (fingerprint.rotate_left(23) ^ when ^ what).wrapping_mul(FOLD_CHAIN)
 }
 
 struct LiveInstance {
@@ -283,6 +309,7 @@ pub struct OnlineValidator {
     late_crash_unterminated: Vec<InstanceId>,
     orphans: FastHashSet<InstanceId>,
     events: u64,
+    fingerprint: u64,
     peak_live: usize,
     peak_tracked: usize,
 }
@@ -309,6 +336,7 @@ impl OnlineValidator {
             late_crash_unterminated: Vec::new(),
             orphans: FastHashSet::default(),
             events: 0,
+            fingerprint: 0,
             peak_live: 0,
             peak_tracked: 0,
         }
@@ -352,12 +380,14 @@ impl OnlineValidator {
         &self.violations
     }
 
-    /// Peak-memory statistics observed so far.
+    /// Peak-memory statistics, event count and stream fingerprint so
+    /// far.
     pub fn stats(&self) -> OnlineStats {
         OnlineStats {
             peak_live: self.peak_live,
             peak_tracked: self.peak_tracked,
             events: self.events,
+            fingerprint: self.fingerprint,
         }
     }
 
@@ -733,6 +763,7 @@ impl OnlineValidator {
 impl Observer for OnlineValidator {
     fn on_event(&mut self, e: &TraceEntry) {
         self.events += 1;
+        self.fingerprint = fold(self.fingerprint, e);
         self.advance(e.time);
         self.horizon = e.time;
         if self.faults[e.node.index()].crashed_strictly_at(e.time) {
@@ -866,6 +897,65 @@ mod tests {
         );
         let report = validator.into_report(true);
         assert!(report.is_ok(), "{report}");
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field_and_the_order_but_not_faults() {
+        // Node 1 of a 3-node line broadcasts, both ends receive in one
+        // tick, and node 1 is acked.
+        let dual = line_dual(3);
+        let cfg = MacConfig::from_ticks(2, 8);
+        let entry = |ticks, node, kind| TraceEntry {
+            time: t(ticks),
+            instance: InstanceId::new(0),
+            node: NodeId::new(node),
+            kind,
+            key: key(),
+        };
+        let stream = [
+            entry(0, 1, TraceKind::Bcast),
+            entry(1, 0, TraceKind::Rcv),
+            entry(1, 2, TraceKind::Rcv),
+            entry(2, 1, TraceKind::Ack),
+        ];
+        // Feeds `events` to a fresh validator, with a crash and recovery of
+        // node 2 before event `faulted_at`.
+        let fingerprint = |events: &[TraceEntry], faulted_at: Option<usize>| {
+            let mut validator = OnlineValidator::new(dual.clone(), cfg);
+            for (i, e) in events.iter().enumerate() {
+                if faulted_at == Some(i) {
+                    validator.on_fault(e.time, NodeId::new(2), FaultKind::Crash);
+                    validator.on_fault(e.time, NodeId::new(2), FaultKind::Recover);
+                }
+                validator.on_event(e);
+            }
+            validator.stats().fingerprint
+        };
+        let reference = fingerprint(&stream, None);
+        assert_eq!(fingerprint(&stream, None), reference, "identical replay");
+        for at in 0..stream.len() {
+            assert_eq!(fingerprint(&stream, Some(at)), reference, "fault at {at}");
+        }
+        let mut swapped = stream;
+        swapped.swap(1, 2);
+        assert_ne!(fingerprint(&swapped, None), reference, "same-tick swap");
+        // A change to one field of the last event shows, and one to the
+        // first event survives every later event.
+        for at in [0, stream.len() - 1] {
+            for field in ["time", "instance", "node", "kind", "key"] {
+                let mut edited = stream;
+                let e = &mut edited[at];
+                match field {
+                    "time" => e.time += Duration::TICK,
+                    "instance" => e.instance = InstanceId::new(e.instance.seq() + 1),
+                    "node" => e.node = NodeId::new((e.node.index() + 1) % 3),
+                    "kind" => e.kind = TraceKind::Abort,
+                    _ => e.key = MessageKey(e.key.0 + 1),
+                }
+                let changed = fingerprint(&edited, None);
+                assert_ne!(changed, reference, "{field} of event {at}");
+            }
+        }
     }
 
     #[test]

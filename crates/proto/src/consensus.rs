@@ -41,7 +41,6 @@
 
 use amac_core::{InstrumentReport, Instruments, RunOptions};
 use amac_graph::{DualGraph, NodeId};
-use amac_mac::trace::Trace;
 use amac_mac::{
     Automaton, Ctx, FaultPlan, MacConfig, MacMessage, MessageKey, OnlineStats, Policy, RunOutcome,
     Runtime, ValidationReport,
@@ -350,11 +349,12 @@ pub struct ConsensusReport {
     /// Peak-memory statistics of the streaming validator, when validation
     /// ran.
     pub validator_stats: Option<OnlineStats>,
-    /// The recorded MAC trace, when [`RunOptions::keep_trace`] was set.
-    pub trace: Option<Trace>,
-    /// Always `None`. The benchmark under `perfbench/` builds this report
-    /// as a struct literal that names the field, so the field stays, with
-    /// a type that can hold no value, until that literal drops it.
+    /// Always `None`, as is `shard_stats`. The benchmark under
+    /// `perfbench/` builds this report as a struct literal that names both
+    /// fields, so they stay, with a type that can hold no value, until
+    /// that literal drops them.
+    pub trace: Option<std::convert::Infallible>,
+    /// Always `None`: see [`trace`](ConsensusReport::trace).
     pub shard_stats: Option<std::convert::Infallible>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
     /// set.
@@ -419,8 +419,9 @@ impl fmt::Display for ConsensusReport {
 }
 
 /// Runs one consensus instance over `dual` under the given fault plan and
-/// scheduler policy, then re-checks the consensus guarantees (and, when
-/// requested, MAC-model conformance of the trace, crash events included).
+/// scheduler policy, up to [`ConsensusParams::horizon`] at the latest,
+/// then re-checks the consensus guarantees (and, when requested, MAC-model
+/// conformance of the trace, crash events included).
 ///
 /// # Panics
 ///
@@ -464,9 +465,8 @@ pub fn run_consensus<P: Policy>(
     let mut decisions: Vec<Option<(Time, bool)>> = vec![None; n];
     let mut duplicates: Vec<NodeId> = Vec::new();
     let mut completion: Option<Time> = None;
-    let horizon = options.horizon.min(params.horizon());
     let outcome = loop {
-        let step_outcome = rt.run_until_next(horizon);
+        let step_outcome = rt.run_until_next(params.horizon());
         for rec in rt.drain_outputs() {
             let slot = &mut decisions[rec.node.index()];
             if slot.is_some() {
@@ -496,7 +496,6 @@ pub fn run_consensus<P: Policy>(
     let InstrumentReport {
         validation,
         validator_stats,
-        trace,
         metrics,
     } = instruments.finish(&mut rt, outcome);
 
@@ -511,7 +510,7 @@ pub fn run_consensus<P: Policy>(
         check,
         validation,
         validator_stats,
-        trace,
+        trace: None,
         shard_stats: None,
         metrics,
     }

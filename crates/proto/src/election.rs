@@ -37,7 +37,6 @@
 
 use amac_core::{InstrumentReport, Instruments, RunOptions};
 use amac_graph::{DualGraph, NodeId};
-use amac_mac::trace::Trace;
 use amac_mac::{
     Automaton, Ctx, FaultPlan, MacConfig, MacMessage, MessageKey, OnlineStats, Policy, RunOutcome,
     Runtime, ValidationReport,
@@ -323,8 +322,6 @@ pub struct ElectionReport {
     /// Peak-memory statistics of the streaming validator, when validation
     /// ran.
     pub validator_stats: Option<OnlineStats>,
-    /// The recorded MAC trace, when requested.
-    pub trace: Option<Trace>,
     /// Deterministic sim-time metrics when [`RunOptions::metrics`] was
     /// set.
     pub metrics: Option<amac_obs::MetricsReport>,
@@ -387,7 +384,7 @@ impl fmt::Display for ElectionReport {
 
 /// Runs one election over `dual`: per-node back-offs drawn uniformly from
 /// `[0, window)` out of `SimRng::seed(seed).split(node)`, execution run to
-/// quiescence (or the options' horizon), outcome re-checked post hoc.
+/// quiescence, outcome re-checked post hoc.
 ///
 /// # Panics
 ///
@@ -445,7 +442,7 @@ pub fn run_election_with_backoffs<P: Policy>(
 
     let mut convergence: Option<Time> = None;
     let outcome = loop {
-        let step_outcome = rt.run_until_next(options.horizon);
+        let step_outcome = rt.run_until_next(Time::MAX);
         for rec in rt.drain_outputs() {
             // Adoptions only improve, so the last one is the convergence
             // instant.
@@ -466,7 +463,6 @@ pub fn run_election_with_backoffs<P: Policy>(
     let InstrumentReport {
         validation,
         validator_stats,
-        trace,
         metrics,
     } = instruments.finish(&mut rt, outcome);
 
@@ -481,7 +477,6 @@ pub fn run_election_with_backoffs<P: Policy>(
         check,
         validation,
         validator_stats,
-        trace,
         metrics,
     }
 }

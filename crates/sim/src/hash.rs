@@ -82,10 +82,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 ///
 /// Chosen for being trivially reimplementable from its published spec (no
 /// dependency, no seed): it guards against corruption and drift, not
-/// adversaries. The `amac-store` on-disk integrity digest, the
-/// `amac-check` schedule fingerprints, and the golden canonical-trace
-/// pins are all this function; keeping a single implementation here is
-/// what makes those digests comparable across crates.
+/// adversaries. The `amac-store` on-disk integrity digest, its fault-plan
+/// and topology digests, and the golden canonical-trace pins are all this
+/// function; keeping a single implementation here is what makes those
+/// digests comparable across crates. The model checker's per-schedule
+/// fingerprints are not: they are never persisted, so they come from a
+/// faster word-wise fold inside `amac_mac::OnlineValidator`.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
 

@@ -27,7 +27,9 @@
 //! Replaying through [`replay_validate`] rebuilds the validator from the
 //! file's own topology and bounds and feeds it the stored stream in
 //! emission order, reproducing the live validator's violation set and
-//! [`OnlineStats`](amac_mac::OnlineStats) exactly.
+//! [`OnlineStats`](amac_mac::OnlineStats) exactly — its stream
+//! fingerprint included, so equal stats also certify that the stored
+//! event stream is the one the runtime emitted.
 //!
 //! # Examples
 //!

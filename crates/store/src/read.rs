@@ -424,7 +424,8 @@ pub fn replay_into<R: Read, O: Observer>(
 
 /// Replays a stored trace through a fresh [`OnlineValidator`] built from
 /// the file's own topology and bounds, reproducing the live validator's
-/// verdict: same violation set, same [`OnlineStats`].
+/// verdict: same violation set, same [`OnlineStats`] (the stream
+/// fingerprint included).
 ///
 /// # Errors
 ///
@@ -463,7 +464,8 @@ pub struct TraceSummary {
     pub quiescent: bool,
     /// The validator's verdict over the execution.
     pub validation: ValidationReport,
-    /// The validator's peak-memory statistics.
+    /// The validator's statistics: peak memory, event count and stream
+    /// fingerprint.
     pub stats: OnlineStats,
 }
 

@@ -40,6 +40,9 @@ pub struct TraceWriter<W: Write> {
     faults: u64,
     /// Reused record-encoding scratch buffer.
     scratch: Vec<u8>,
+    /// Reused buffer of one framed record: `scratch` behind its varint
+    /// length.
+    framed: Vec<u8>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -77,6 +80,7 @@ impl<W: Write> TraceWriter<W> {
             events: 0,
             faults: 0,
             scratch: Vec::with_capacity(32),
+            framed: Vec::with_capacity(32),
         })
     }
 
@@ -95,12 +99,18 @@ impl<W: Write> TraceWriter<W> {
         Ok(delta)
     }
 
+    /// Frames `scratch` as one record in `framed`: its varint length,
+    /// then its bytes.
+    fn frame(&mut self) {
+        self.framed.clear();
+        push_varint(&mut self.framed, self.scratch.len() as u64);
+        self.framed.extend_from_slice(&self.scratch);
+    }
+
     fn write_record(&mut self) -> Result<(), StoreError> {
-        let mut framed = Vec::with_capacity(self.scratch.len() + 2);
-        push_varint(&mut framed, self.scratch.len() as u64);
-        framed.extend_from_slice(&self.scratch);
-        self.digest.update(&framed);
-        self.out.write_all(&framed)?;
+        self.frame();
+        self.digest.update(&self.framed);
+        self.out.write_all(&self.framed)?;
         Ok(())
     }
 
@@ -173,10 +183,8 @@ impl<W: Write> TraceWriter<W> {
         push_varint(&mut self.scratch, self.faults);
         self.scratch
             .extend_from_slice(&self.digest.value().to_le_bytes());
-        let mut framed = Vec::with_capacity(self.scratch.len() + 2);
-        push_varint(&mut framed, self.scratch.len() as u64);
-        framed.extend_from_slice(&self.scratch);
-        self.out.write_all(&framed)?;
+        self.frame();
+        self.out.write_all(&self.framed)?;
         self.out.flush()?;
         Ok(self.out)
     }
