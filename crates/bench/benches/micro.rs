@@ -10,7 +10,7 @@ use amac_graph::{generators, DualGraph, NodeId};
 use amac_mac::policies::{EagerPolicy, LazyPolicy};
 use amac_mac::trace::Trace;
 use amac_mac::{FaultPlan, MacConfig, OnlineValidator, TraceObserver};
-use amac_proto::consensus::{run_consensus, ConsensusParams};
+use amac_proto::consensus::{run_consensus, ConsensusParams, ConsensusReport};
 use amac_sim::{Duration, EventQueue, SimRng, Time};
 use amac_store::{replay_into, TraceReader};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -68,10 +68,29 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// Crash-tolerant consensus on the 200-node complete graph with 20 random
+/// crashes under the lazy duplicate-preferring scheduler, the shape of
+/// perfbench's `consensus_crash_recorded`: ~7.6e5 events at degree 199,
+/// nearly every delivery due at its instance's ack.
+fn consensus200(options: &RunOptions) -> ConsensusReport {
+    let n = 200;
+    let config = MacConfig::from_ticks(2, 16).enhanced();
+    let params = ConsensusParams::for_crashes(20, &config);
+    let mut rng = SimRng::seed(1);
+    let initial = (0..n).map(|_| rng.chance(0.5)).collect::<Vec<_>>();
+    let window = Time::ZERO + params.phase_len.times(params.phases);
+    let faults = FaultPlan::random_crashes(n, 20, window, &mut rng);
+    let dual = DualGraph::reliable(generators::complete(n).unwrap());
+    let policy = LazyPolicy::new().prefer_duplicates();
+    run_consensus(&dual, config, &initial, &params, faults, policy, options)
+}
+
 /// The runtime hot path at scale: a k=2 BMMB flood over a 1,000-node line
 /// under the eager scheduler (~10⁴ events per run), measured bare and with
-/// the streaming validator attached. Criterion reports seconds per run;
-/// events/sec = events ÷ mean time.
+/// the streaming validator attached, and the dense consensus execution
+/// with no observer attached, which times the runtime's delivery path
+/// alone. Criterion reports seconds per run; events/sec = events ÷ mean
+/// time.
 fn bench_runtime_hot_path(c: &mut Criterion) {
     let dual = DualGraph::reliable(generators::line(1000).unwrap());
     let cfg = MacConfig::from_ticks(2, 32);
@@ -103,6 +122,9 @@ fn bench_runtime_hot_path(c: &mut Criterion) {
                 .is_some_and(amac_mac::ValidationReport::is_ok));
             black_box(report.counters.get("events"))
         });
+    });
+    c.bench_function("consensus200_crash20_fast", |b| {
+        b.iter(|| black_box(consensus200(&RunOptions::fast()).counters.get("events")));
     });
 }
 
@@ -137,22 +159,11 @@ fn recorded(name: &str, run: impl FnOnce(&RunOptions)) -> Recorded {
 }
 
 /// `OnlineValidator::replay` over two recorded executions at opposite
-/// degrees: crash-tolerant consensus on the 200-node complete graph with
-/// 20 crashes (the shape of perfbench's `consensus_crash_recorded`, ~7.7e5
-/// events at degree 199), and the `scale` experiment's k=2 BMMB flood on
+/// degrees: [`consensus200`], and the `scale` experiment's k=2 BMMB flood on
 /// the 10⁴-node jittered grid (~1.4e5 events at degree ≤ 4).
 fn bench_validator(c: &mut Criterion) {
     let consensus = recorded("consensus200", |options| {
-        let n = 200;
-        let config = MacConfig::from_ticks(2, 16).enhanced();
-        let params = ConsensusParams::for_crashes(20, &config);
-        let mut rng = SimRng::seed(1);
-        let initial = (0..n).map(|_| rng.chance(0.5)).collect::<Vec<_>>();
-        let window = Time::ZERO + params.phase_len.times(params.phases);
-        let faults = FaultPlan::random_crashes(n, 20, window, &mut rng);
-        let dual = DualGraph::reliable(generators::complete(n).unwrap());
-        let policy = LazyPolicy::new().prefer_duplicates();
-        run_consensus(&dual, config, &initial, &params, faults, policy, options);
+        consensus200(options);
     });
     let grid = recorded("grid10k", |options| {
         let n = 10_000;

@@ -12,8 +12,8 @@
 //! later decisions pinned to their defaults).
 
 use amac_check::{
-    explore, Bounds, CheckReport, ConsensusScenario, ElectionScenario, FloodScenario, Scenario,
-    PROP_CONSENSUS,
+    explore, Bounds, CheckReport, CheckStats, ConsensusScenario, ElectionScenario, FloodScenario,
+    Scenario, PROP_CONSENSUS,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -96,7 +96,6 @@ pub fn run(id: &str, opts: &CheckOptions, fixture: Option<&Path>) -> Option<Chec
 
 /// Renders one report as the `repro check` text block.
 pub fn render(report: &CheckReport, opts: &CheckOptions) -> String {
-    let s = &report.stats;
     let mut out = String::new();
     let depth = opts.depth.map_or("full".to_string(), |d| d.to_string());
     let _ = writeln!(
@@ -108,11 +107,7 @@ pub fn render(report: &CheckReport, opts: &CheckOptions) -> String {
         opts.max_schedules,
         if opts.broken { " (broken variant)" } else { "" }
     );
-    let _ = writeln!(
-        out,
-        "  schedules={} distinct={} duplicates={} events={} max-len={} depth-pinned={}",
-        s.schedules, s.distinct, s.duplicates, s.events, s.max_schedule_len, s.depth_pinned
-    );
+    let _ = writeln!(out, "  {}", stats_line(&report.stats));
     let _ = writeln!(
         out,
         "  exhausted: {}",
@@ -157,16 +152,34 @@ pub struct SmokeCase {
     pub ok: bool,
 }
 
+/// The statistics line of a report, as [`render`] prints it.
+fn stats_line(s: &CheckStats) -> String {
+    format!(
+        "schedules={} distinct={} duplicates={} events={} max-len={} depth-pinned={}",
+        s.schedules, s.distinct, s.duplicates, s.events, s.max_schedule_len, s.depth_pinned
+    )
+}
+
+/// Runs one smoke case. It passes when `judge` accepts the report and
+/// its statistics line is exactly `stats`: the counts pin what the
+/// checker explores and tells apart, which a verdict alone does not.
 fn smoke_case(
     label: &str,
     id: &str,
     opts: CheckOptions,
+    stats: &str,
     judge: impl FnOnce(&CheckReport) -> bool,
 ) -> SmokeCase {
     let report = run(id, &opts, None).expect("smoke suite uses known ids");
-    let ok = judge(&report);
+    let pinned = stats_line(&report.stats) == stats;
+    let label = if pinned {
+        label.to_string()
+    } else {
+        format!("{label} (statistics differ, expected {stats})")
+    };
+    let ok = pinned && judge(&report);
     SmokeCase {
-        label: label.to_string(),
+        label,
         opts,
         report,
         ok,
@@ -177,7 +190,8 @@ fn smoke_case(
 /// certification of every shipped protocol at n = 3 scale (election
 /// additionally fully at n = 2 and bounded-exhaustively at n = 3), plus a
 /// self-test that the counterexample pipeline still finds and shrinks the
-/// known agreement violation of the broken consensus.
+/// known agreement violation of the broken consensus. Each case also pins
+/// its exact statistics line.
 pub fn smoke_suite() -> Vec<SmokeCase> {
     let certified = |report: &CheckReport| report.exhausted && report.is_clean();
     vec![
@@ -185,6 +199,7 @@ pub fn smoke_suite() -> Vec<SmokeCase> {
             "consensus n=3, crash-free, full depth",
             "consensus",
             CheckOptions::default(),
+            "schedules=2197 distinct=2197 duplicates=0 events=26364 max-len=9 depth-pinned=0",
             certified,
         ),
         smoke_case(
@@ -194,6 +209,7 @@ pub fn smoke_suite() -> Vec<SmokeCase> {
                 nodes: 2,
                 ..CheckOptions::default()
             },
+            "schedules=2020 distinct=2020 duplicates=0 events=24120 max-len=10 depth-pinned=0",
             certified,
         ),
         smoke_case(
@@ -203,6 +219,7 @@ pub fn smoke_suite() -> Vec<SmokeCase> {
                 depth: Some(SMOKE_ELECTION_DEPTH),
                 ..CheckOptions::default()
             },
+            "schedules=2704 distinct=2704 duplicates=0 events=65780 max-len=30 depth-pinned=30407",
             certified,
         ),
         smoke_case(
@@ -212,6 +229,7 @@ pub fn smoke_suite() -> Vec<SmokeCase> {
                 nodes: 4,
                 ..CheckOptions::default()
             },
+            "schedules=4225 distinct=4225 duplicates=0 events=59150 max-len=10 depth-pinned=0",
             certified,
         ),
         smoke_case(
@@ -221,6 +239,7 @@ pub fn smoke_suite() -> Vec<SmokeCase> {
                 broken: true,
                 ..CheckOptions::default()
             },
+            "schedules=2367 distinct=126 duplicates=2241 events=17040 max-len=13 depth-pinned=0",
             |report| {
                 report
                     .counterexample

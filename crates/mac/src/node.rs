@@ -195,11 +195,11 @@ impl<M, O> fmt::Debug for Ctx<'_, M, O> {
 ///
 /// A one-shot flooder: broadcast a token on start, forward it once.
 ///
-/// Message payloads are interned by the runtime at broadcast time and
-/// handed to [`on_receive`](Automaton::on_receive) /
-/// [`on_ack`](Automaton::on_ack) **by reference**: a delivery costs a
-/// pointer clone, never a payload clone, regardless of payload size.
-/// Automata that need ownership (e.g. to re-broadcast) clone explicitly.
+/// The runtime keeps each broadcast's payload for the life of its
+/// instance and hands it to [`on_receive`](Automaton::on_receive) /
+/// [`on_ack`](Automaton::on_ack) **by reference**: a delivery never
+/// clones the payload, whatever its size. Automata that need ownership
+/// (e.g. to re-broadcast) clone explicitly.
 ///
 /// ```
 /// use amac_mac::{Automaton, Ctx, MacMessage, MessageKey};
@@ -256,8 +256,8 @@ pub trait Automaton {
     }
 
     /// The MAC layer delivered a message to this node. The payload is
-    /// borrowed from the instance's interned copy; clone it if ownership
-    /// is needed.
+    /// borrowed from the sender's in-flight instance; clone it if
+    /// ownership is needed.
     fn on_receive(&mut self, msg: &Self::Msg, ctx: &mut Ctx<'_, Self::Msg, Self::Out>);
 
     /// The MAC layer acknowledged this node's broadcast of `msg`.

@@ -6,9 +6,10 @@
 //!
 //! * **Receive correctness** — at most one `rcv` per (instance, receiver);
 //!   receivers are always `G′`-neighbors of the sender; every `rcv` happens
-//!   no later than the instance's termination (pending deliveries are
-//!   flushed immediately before an `ack` and cancelled on `abort`, i.e.
-//!   `ε_abort = 0`).
+//!   no later than the instance's termination (the deliveries due at the
+//!   ack are made by the ack event itself, one receiver per step, right
+//!   before the `ack`; deliveries still pending at an `abort` are
+//!   cancelled, i.e. `ε_abort = 0`).
 //! * **Ack correctness** — every reliable neighbor is delivered before the
 //!   `ack` (policies that omit a reliable neighbor get it scheduled at the
 //!   ack deadline); each instance terminates at most once.
@@ -48,7 +49,9 @@
 //! A node has at most one broadcast in flight (user well-formedness), so
 //! the runtime keeps one broadcast slot per sender, not a record per
 //! instance: its instance state is O(n + |E′|) however many instances a
-//! run starts.
+//! run starts. The slot owns the payload and lends it to each receiver's
+//! callback. Only deliveries due before the ack are events of the queue;
+//! one due at the ack waits in the slot until the ack makes it.
 
 use crate::config::MacConfig;
 use crate::fault::{FaultKind, FaultPlan};
@@ -63,7 +66,6 @@ use amac_sim::stats::Counters;
 use amac_sim::{Duration, EventId, EventQueue, FastHashSet, Time};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a [`Runtime::run`] call returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,26 +106,32 @@ enum Ev<E> {
 }
 
 /// One sender's broadcast slot: the state of its in-flight instance, if
-/// any. The payload is interned behind an [`Arc`] at broadcast time —
-/// deliveries clone the pointer, not the payload — and dropped at
-/// termination; the two vectors are cleared but keep their capacity, so a
-/// slot stops allocating once it has held its largest broadcast.
+/// any. The slot owns the payload from broadcast to termination and lends
+/// it to each receiver's callback, so a delivery neither clones it nor
+/// counts a reference. The two lists are cleared but keep their capacity,
+/// so a slot stops allocating once it has held its largest broadcast.
 struct Slot<M> {
     /// The in-flight instance, `None` between broadcasts.
     id: Option<InstanceId>,
-    msg: Option<Arc<M>>,
+    /// The payload while the instance is in flight, except while a
+    /// receiver's callback borrows it.
+    msg: Option<M>,
     key: MessageKey,
     start: Time,
     delivered: Vec<NodeId>,
-    pending: VecDeque<(NodeId, EventId)>,
+    /// The receivers still owed a delivery, in planned order, each with
+    /// its queue event; a receiver due at the ack has none, and the ack
+    /// delivers it (see [`Runtime::ack_step`]).
+    pending: VecDeque<(NodeId, Option<EventId>)>,
     ack_event: Option<EventId>,
 }
 
 impl<M> Slot<M> {
-    /// Removes `to`'s pending delivery, returning its event.
+    /// Removes `to`'s pending delivery, returning its queue event if it
+    /// has one.
     fn take_pending(&mut self, to: NodeId) -> Option<EventId> {
         let pos = self.pending.iter().position(|&(n, _)| n == to)?;
-        self.pending.remove(pos).map(|(_, ev)| ev)
+        self.pending.remove(pos).and_then(|(_, ev)| ev)
     }
 
     fn idle() -> Slot<M> {
@@ -153,7 +161,6 @@ struct HotCounters {
     ack: u64,
     abort: u64,
     forced_rcv: u64,
-    forced_ack: u64,
     crash: u64,
     recover: u64,
 }
@@ -170,7 +177,6 @@ impl HotCounters {
             ("ack", self.ack),
             ("abort", self.abort),
             ("forced_rcv", self.forced_rcv),
-            ("forced_ack", self.forced_ack),
             ("crash", self.crash),
             ("recover", self.recover),
         ] {
@@ -207,10 +213,14 @@ pub struct Runtime<A: Automaton, P: Policy> {
     protected_until: Vec<Option<Time>>,
     /// Per receiver: the senders of the in-flight instances of its `G`-
     /// (`connected`) and `G′`-neighbors (`contending`), in ascending
-    /// instance id.
-    connected: Vec<Vec<NodeId>>,
-    contending: Vec<Vec<NodeId>>,
+    /// instance id. An instance usually terminates before every younger
+    /// one, so its sender leaves from the front.
+    connected: Vec<VecDeque<NodeId>>,
+    contending: Vec<VecDeque<NodeId>>,
     check_scheduled: Vec<bool>,
+    /// The sender whose ack is making its deliveries due at the ack, one
+    /// per step, until the step that acks.
+    flushing: Option<NodeId>,
     // Determinism policy: every collection whose *iteration order* can
     // reach execution (in particular `connected`/`contending`, which
     // build the forced-delivery candidate list handed to
@@ -265,9 +275,10 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             started: 0,
             live_protectors: vec![0; n],
             protected_until: vec![None; n],
-            connected: vec![Vec::new(); n],
-            contending: vec![Vec::new(); n],
+            connected: vec![VecDeque::new(); n],
+            contending: vec![VecDeque::new(); n],
             check_scheduled: vec![false; n],
+            flushing: None,
             seen_keys: vec![FastHashSet::default(); n],
             crashed: vec![false; n],
             outputs: Vec::new(),
@@ -360,8 +371,8 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         self.started as usize
     }
 
-    /// Event counters (`bcast`, `rcv`, `ack`, `abort`, `forced_rcv`,
-    /// `forced_ack`, …), materialized from the runtime's plain-field hot
+    /// Event counters (`events`, `bcast`, `rcv`, `ack`, `abort`,
+    /// `forced_rcv`, …), materialized from the runtime's plain-field hot
     /// counters (a per-event string-keyed map lookup was measurable).
     pub fn counters(&self) -> Counters {
         self.counters.materialize()
@@ -403,16 +414,31 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
 
     /// Processes a single event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        let Some((_, ev)) = self.queue.pop() else {
+        self.step_through(Time::MAX)
+    }
+
+    /// Processes the next event if it is due no later than `horizon`: the
+    /// next step of a flushing ack, else the queue's next event. Returns
+    /// `false` if there is none.
+    fn step_through(&mut self, horizon: Time) -> bool {
+        if let Some(sender) = self.flushing {
+            if self.queue.now() > horizon {
+                return false;
+            }
+            self.counters.events += 1;
+            self.ack_step(sender);
+            return true;
+        }
+        let Some((_, ev)) = self.queue.pop_through(horizon) else {
             return false;
         };
+        self.counters.events += 1;
         self.process(ev);
         true
     }
 
     /// Handles one popped event.
     fn process(&mut self, ev: Ev<A::Env>) {
-        self.counters.events += 1;
         match ev {
             Ev::Start(node) => {
                 if self.crashed[node.index()] {
@@ -442,7 +468,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             }
             Ev::AckDue(inst, from) => {
                 if self.slots[from.index()].id == Some(inst) {
-                    self.ack_instance(from);
+                    self.ack_step(from);
                 }
             }
             Ev::ProgressCheck(node) => self.progress_check(node),
@@ -467,13 +493,12 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         if self.counters.events >= self.event_limit {
             return Some(RunOutcome::EventLimit);
         }
-        match self.queue.pop_through(horizon) {
-            Some((_, ev)) => {
-                self.process(ev);
-                None
-            }
-            None if self.queue.is_empty() => Some(RunOutcome::Idle),
-            None => Some(RunOutcome::TimeLimit),
+        if self.step_through(horizon) {
+            None
+        } else if self.flushing.is_none() && self.queue.is_empty() {
+            Some(RunOutcome::Idle)
+        } else {
+            Some(RunOutcome::TimeLimit)
         }
     }
 
@@ -612,19 +637,22 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
 
         self.emit(id, sender, TraceKind::Bcast, key);
 
+        // A delivery due at the ack gets no event: the ack makes it, in the
+        // step its event would have taken (see `ack_step`).
         let slot = &mut self.slots[sender.index()];
         debug_assert!(slot.pending.is_empty() && slot.delivered.is_empty());
         for (j, d) in delays.drain(..) {
             if self.crashed[j.index()] {
                 continue; // a crashed receiver gets nothing
             }
-            let ev = self.queue.schedule(now + d, Ev::Deliver(id, sender, j));
+            let ev =
+                (d < ack_delay).then(|| self.queue.schedule(now + d, Ev::Deliver(id, sender, j)));
             slot.pending.push_back((j, ev));
         }
         self.delay_scratch = delays;
         let ack_event = self.queue.schedule(now + ack_delay, Ev::AckDue(id, sender));
         slot.id = Some(id);
-        slot.msg = Some(Arc::new(msg));
+        slot.msg = Some(msg);
         slot.key = key;
         slot.start = now;
         slot.ack_event = Some(ack_event);
@@ -632,10 +660,10 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         // The new instance has the largest id in flight, so appending keeps
         // the sender lists in ascending instance id.
         for &j in self.dual.reliable_neighbors(sender) {
-            self.connected[j.index()].push(sender);
+            self.connected[j.index()].push_back(sender);
         }
         for &j in self.dual.all_neighbors(sender) {
-            self.contending[j.index()].push(sender);
+            self.contending[j.index()].push_back(sender);
         }
         for i in 0..self.dual.reliable_neighbors(sender).len() {
             let j = self.dual.reliable_neighbors(sender)[i];
@@ -651,7 +679,7 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             // The progress bound is conditioned on the receiver's liveness.
             return None;
         }
-        let oldest = *self.connected[j.index()].first()?;
+        let oldest = *self.connected[j.index()].front()?;
         if self.live_protectors[j.index()] > 0 {
             // Some in-flight instance already delivered to j: every window
             // starting before its termination is covered.
@@ -686,38 +714,34 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             self.ensure_check(j);
             return;
         }
-        // The progress bound is due: force a delivery. A candidate always
-        // exists here — j is unprotected, so no in-flight contender has
-        // delivered to it, and the spanning connected instance qualifies.
+        // The progress bound is due: force a delivery. Every in-flight
+        // contender is a candidate: j is unprotected, so none of them has
+        // delivered to it, and the spanning connected instance is among
+        // them. `connected[j]` is a subsequence of `contending[j]` in the
+        // same order, so a cursor into it finds the reliable links.
         // `candidates` is a recycled scratch buffer.
         let mut candidates = std::mem::take(&mut self.forced_scratch);
         debug_assert!(candidates.is_empty());
-        candidates.extend(self.contending[j.index()].iter().filter_map(|&sender| {
+        let connected = &self.connected[j.index()];
+        let mut next_connected = 0;
+        candidates.extend(self.contending[j.index()].iter().map(|&sender| {
             let slot = &self.slots[sender.index()];
-            if slot.delivered.contains(&j) {
-                return None;
-            }
-            Some(ForcedCandidate {
+            debug_assert!(!slot.delivered.contains(&j), "{sender} protects {j}");
+            let reliable_link = connected.get(next_connected) == Some(&sender);
+            next_connected += usize::from(reliable_link);
+            ForcedCandidate {
                 instance: slot.id.expect("contending senders are in flight"),
                 sender,
                 key: slot.key,
                 start: slot.start,
                 duplicate_for_receiver: self.seen_keys[j.index()].contains(&slot.key),
-                reliable_link: self.dual.g().has_edge(j, sender),
-            })
-        }));
-        if candidates.is_empty() {
-            // Defensive fallback (unreachable by the invariant above):
-            // terminate the oldest connected instance to restore validity.
-            debug_assert!(false, "unprotected receiver with no forced candidates");
-            self.forced_scratch = candidates;
-            if let Some(&oldest) = self.connected[j.index()].first() {
-                self.counters.forced_ack += 1;
-                self.ack_instance(oldest);
+                reliable_link,
             }
-            self.ensure_check(j);
-            return;
-        }
+        }));
+        debug_assert!(
+            next_connected == connected.len() && next_connected > 0,
+            "the connected senders of unprotected {j} are contending"
+        );
         let idx = {
             let ctx = PolicyCtx {
                 dual: &self.dual,
@@ -744,9 +768,8 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     }
 
     /// Delivers `from`'s in-flight instance to `to`. Callers deliver only
-    /// a receiver that is pending or that passed the forced-candidate
-    /// filter, and pending receivers are distinct and disjoint from the
-    /// delivered ones, so `to` has not been delivered yet.
+    /// a pending receiver or a forced candidate, and neither has been
+    /// delivered yet.
     fn deliver_core(&mut self, from: NodeId, to: NodeId) {
         if self.crashed[to.index()] {
             return; // defensive: deliveries to crashed nodes are cancelled
@@ -761,9 +784,10 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         );
         slot.delivered.push(to);
         let key = slot.key;
-        // Payloads are interned: a delivery clones the Arc, not the
-        // payload; the automaton borrows it for the callback.
-        let msg = Arc::clone(slot.msg.as_ref().expect("live instance holds its payload"));
+        // Lend the payload to the receiver's callback. The receiver is not
+        // the sender, and a callback only buffers commands, so nothing
+        // looks for the payload in the slot until it is back.
+        let msg = slot.msg.take().expect("live instance holds its payload");
         self.counters.rcv += 1;
         self.emit(inst, to, TraceKind::Rcv, key);
         self.seen_keys[to.index()].insert(key);
@@ -771,17 +795,36 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         // from progress violations until it terminates.
         self.live_protectors[to.index()] += 1;
         let cmds = self.callback(to, |n, ctx| n.on_receive(&msg, ctx));
+        self.slots[from.index()].msg = Some(msg);
         self.apply(to, cmds);
     }
 
-    fn ack_instance(&mut self, sender: NodeId) {
-        // Flush pending deliveries: every rcv precedes the ack.
-        let mut pend = std::mem::take(&mut self.slots[sender.index()].pending);
-        for (to, ev) in pend.drain(..) {
-            self.queue.cancel(ev);
-            self.deliver_core(sender, to);
+    /// One step of `sender`'s ack: its next delivery due at the ack, or
+    /// the ack once none is left. The `AckDue` event takes the first step
+    /// and `flushing` names the sender until the last, so that
+    /// [`step`](Runtime::step) and [`run_until_next`](Runtime::run_until_next)
+    /// take the rest before the queue's next event. Each delivery takes
+    /// the step its own event would have: those events were due at the
+    /// ack's time, just before it in the queue's order.
+    fn ack_step(&mut self, sender: NodeId) {
+        match self.slots[sender.index()].pending.pop_front() {
+            Some((to, ev)) => {
+                debug_assert!(ev.is_none(), "{sender} acks before a delivery due earlier");
+                self.flushing = Some(sender);
+                self.deliver_core(sender, to);
+            }
+            None => {
+                self.flushing = None;
+                self.ack_instance(sender);
+            }
         }
-        self.slots[sender.index()].pending = pend;
+    }
+
+    fn ack_instance(&mut self, sender: NodeId) {
+        debug_assert!(
+            self.slots[sender.index()].pending.is_empty(),
+            "every rcv precedes the ack"
+        );
         let (inst, key, msg) = self.terminate(sender);
         self.counters.ack += 1;
         self.emit(inst, sender, TraceKind::Ack, key);
@@ -803,15 +846,21 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     /// its remaining deliveries and its ack, empties its slot and drops it
     /// from its neighbors' sender lists. Deliveries already made stand.
     /// Returns the instance, its key and its payload.
-    fn terminate(&mut self, sender: NodeId) -> (InstanceId, MessageKey, Arc<A::Msg>) {
-        fn unlist(senders: &mut Vec<NodeId>, sender: NodeId) {
-            let pos = senders.iter().position(|&s| s == sender);
-            senders.remove(pos.expect("in-flight sender is listed"));
+    fn terminate(&mut self, sender: NodeId) -> (InstanceId, MessageKey, A::Msg) {
+        fn unlist(senders: &mut VecDeque<NodeId>, sender: NodeId) {
+            if senders.front() == Some(&sender) {
+                senders.pop_front();
+            } else {
+                let pos = senders.iter().position(|&s| s == sender);
+                senders.remove(pos.expect("in-flight sender is listed"));
+            }
         }
         let slot = &mut self.slots[sender.index()];
         let inst = slot.id.take().expect("terminated instance is in flight");
         for (_, ev) in slot.pending.drain(..) {
-            self.queue.cancel(ev);
+            if let Some(ev) = ev {
+                self.queue.cancel(ev);
+            }
         }
         if let Some(ev) = slot.ack_event.take() {
             self.queue.cancel(ev);
@@ -1343,6 +1392,8 @@ mod tests {
     /// instance id, and `live_protectors[j]` counts the in-flight
     /// instances that delivered to `j`. Idle slots hold no instance state,
     /// and a slot's pending receivers are distinct and not yet delivered.
+    /// A flushing ack names an in-flight slot whose pending receivers are
+    /// all due at the ack, with no queue event.
     fn assert_consistent<A: Automaton, P: Policy>(rt: &Runtime<A, P>) {
         let in_flight = |neighbors: &[NodeId]| {
             let mut senders = neighbors.to_vec();
@@ -1368,6 +1419,14 @@ mod tests {
             assert!(
                 pending.iter().all(|j| !slot.delivered.contains(j)),
                 "slot {i} pending after delivery"
+            );
+        }
+        if let Some(sender) = rt.flushing {
+            let slot = &rt.slots[sender.index()];
+            assert!(slot.id.is_some(), "idle slot {sender} flushing");
+            assert!(
+                slot.pending.iter().all(|&(_, ev)| ev.is_none()),
+                "slot {sender} flushes a delivery that has an event"
             );
         }
         for i in 0..rt.dual.len() {
@@ -1467,9 +1526,13 @@ mod tests {
         assert!(rt.counters().get("abort") > 0 && rt.counters().get("crash") == 1);
         assert_consistent(&rt);
         assert!(rt.slots.iter().all(|s| s.id.is_none()));
-        assert!(rt.connected.iter().chain(&rt.contending).all(Vec::is_empty));
+        assert!(rt
+            .connected
+            .iter()
+            .chain(&rt.contending)
+            .all(VecDeque::is_empty));
         assert!(rt.live_protectors.iter().all(|&c| c == 0));
-        // Each vector holds at most deg′(v) entries, so with Vec's doubling
+        // Each list holds at most deg′(v) entries, so with its doubling
         // (minimum capacity 4) each of the four families' total capacity is
         // at most Σ 4·deg′(v) = 8·|E′|, however many instances ran.
         let slots = rt.slots.iter();
@@ -1477,7 +1540,7 @@ mod tests {
         let capacity: usize = slots
             .map(|s| s.delivered.capacity() + s.pending.capacity())
             .sum::<usize>()
-            + lists.map(Vec::capacity).sum::<usize>();
+            + lists.map(VecDeque::capacity).sum::<usize>();
         let edges = rt.dual.g_prime().edge_count();
         assert!(
             capacity <= 32 * edges,
@@ -1531,38 +1594,155 @@ mod tests {
         assert_eq!(rcvs.len(), (n - 1) * trace.count(TraceKind::Bcast));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn a_flushing_ack_honors_the_horizon_and_the_event_limit() {
+        // With F_prog = F_ack no delivery is forced before the ack, so the
+        // lazy policy leaves all three leaves of the hub's flood due at it.
+        let dual = DualGraph::reliable(generators::star(4).unwrap());
+        let cfg = MacConfig::from_ticks(8, 8);
+        let mut rt = Runtime::new(dual, cfg, flooders(4), LazyPolicy::new());
+        while rt.flushing.is_none() {
+            assert!(rt.step());
+        }
+        let (now, events) = (rt.now(), rt.counters().get("events"));
+        assert_eq!(now, Time::from_ticks(8));
+        let before = Time::from_ticks(7);
+        assert_eq!(rt.run_until_next(before), Some(RunOutcome::TimeLimit));
+        let mut rt = rt.with_event_limit(events);
+        assert_eq!(rt.run_until_next(now), Some(RunOutcome::EventLimit));
+        assert_eq!(rt.counters().get("events"), events);
+        assert_eq!(rt.counters().get("rcv"), 1, "one leaf per step");
+        let mut rt = rt.with_event_limit(u64::MAX);
+        assert_eq!(rt.run_until(now), RunOutcome::TimeLimit);
+        assert_eq!(rt.counters().get("rcv"), 3);
+        assert_eq!(rt.counters().get("ack"), 1);
+        assert_eq!(rt.run(), RunOutcome::Idle);
+        assert_eq!(rt.outputs().len(), 4);
+    }
 
-        /// The per-receiver bookkeeping matches the slots after every
-        /// event, under every policy, with crashes and recoveries.
-        #[test]
-        fn receiver_bookkeeping_matches_the_slots_after_every_step(
-            seed in 0u64..1_000_000,
-            topo in 0u8..4,
-            policy in 0u8..3,
-            n in 3usize..9,
-            extra in 0usize..6,
-            budget in 1u64..8,
-            crashes in 0usize..4,
-        ) {
-            let mut rng = SimRng::seed(seed);
-            let rt = talk((topo, policy), n, extra, budget, &mut rng);
+    /// Cases per property in `cargo test`.
+    const CASES: u32 = 64;
+
+    /// Cases per property in the long run, the `#[ignore]`d copies below:
+    /// `cargo test --release -p amac-mac --lib -- --ignored`.
+    const LONG_CASES: u32 = 10_000;
+
+    /// A [`talk`] fixture with up to `crashes` crashes inside its first
+    /// ten `F_ack`, each recovered later with probability ½.
+    #[derive(Debug)]
+    struct Faulted {
+        seed: u64,
+        topo: u8,
+        policy: u8,
+        n: usize,
+        extra: usize,
+        budget: u64,
+        crashes: usize,
+    }
+
+    fn faulted() -> impl Strategy<Value = Faulted> {
+        (
+            (0u64..1_000_000, 0u8..4, 0u8..3),
+            (3usize..9, 0usize..6, 1u64..8, 0usize..4),
+        )
+            .prop_map(
+                |((seed, topo, policy), (n, extra, budget, crashes))| Faulted {
+                    seed,
+                    topo,
+                    policy,
+                    n,
+                    extra,
+                    budget,
+                    crashes,
+                },
+            )
+    }
+
+    impl Faulted {
+        fn runtime(&self) -> Runtime<Talker, Box<dyn Policy>> {
+            let mut rng = SimRng::seed(self.seed);
+            let fixture = (self.topo, self.policy);
+            let rt = talk(fixture, self.n, self.extra, self.budget, &mut rng);
             let (n, window) = (rt.dual.len() as u64, 10 * rt.config.f_ack().ticks());
             let mut plan = FaultPlan::new();
-            for _ in 0..crashes {
+            for _ in 0..self.crashes {
                 let (node, at) = (NodeId::new(rng.below(n) as usize), rng.below(window));
                 plan = plan.crash_at(node, Time::from_ticks(at));
                 if rng.chance(0.5) {
                     plan = plan.recover_at(node, Time::from_ticks(at + 1 + rng.below(window)));
                 }
             }
-            let mut rt = rt.with_faults(plan);
-            while rt.step() {
-                assert_consistent(&rt);
+            rt.with_faults(plan)
+        }
+    }
+
+    /// The per-receiver bookkeeping matches the slots after every event,
+    /// under every policy, with crashes and recoveries.
+    fn bookkeeping_matches_the_slots(case: &Faulted) -> Result<(), TestCaseError> {
+        let mut rt = case.runtime();
+        while rt.step() {
+            assert_consistent(&rt);
+        }
+        prop_assert!(rt.slots.iter().all(|s| s.id.is_none()));
+        prop_assert!(rt.live_protectors.iter().all(|&c| c == 0));
+        Ok(())
+    }
+
+    /// A step handles one event, as harnesses that stop between steps
+    /// rely on: it emits at most one `rcv`, and an `ack` never shares its
+    /// step with a `rcv` of its own instance (the deliveries due at an
+    /// ack take a step each, before it).
+    fn steps_emit_one_rcv_and_acks_alone(case: &Faulted) -> Result<(), TestCaseError> {
+        let mut rt = case.runtime();
+        let tracer = rt.attach(TraceObserver::new());
+        let mut seen = 0;
+        while rt.run_until_next(Time::MAX).is_none() {
+            let entries = rt.observer(&tracer).trace().entries();
+            let step = &entries[seen..];
+            seen = entries.len();
+            let is_rcv = |e: &&TraceEntry| e.kind == TraceKind::Rcv;
+            prop_assert!(
+                step.iter().filter(is_rcv).count() <= 1,
+                "{case:?}: {step:?}"
+            );
+            for ack in step.iter().filter(|e| e.kind == TraceKind::Ack) {
+                let own = step
+                    .iter()
+                    .filter(is_rcv)
+                    .any(|e| e.instance == ack.instance);
+                prop_assert!(!own, "{case:?}: {step:?}");
             }
-            prop_assert!(rt.slots.iter().all(|s| s.id.is_none()));
-            prop_assert!(rt.live_protectors.iter().all(|&c| c == 0));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn receiver_bookkeeping_matches_the_slots_after_every_step(case in faulted()) {
+            bookkeeping_matches_the_slots(&case)?;
+        }
+
+        #[test]
+        fn each_step_emits_at_most_one_rcv_and_never_one_with_its_ack(case in faulted()) {
+            steps_emit_one_rcv_and_acks_alone(&case)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(LONG_CASES))]
+
+        #[test]
+        #[ignore = "long run: --release -- --ignored"]
+        fn long_run_receiver_bookkeeping_matches_the_slots(case in faulted()) {
+            bookkeeping_matches_the_slots(&case)?;
+        }
+
+        #[test]
+        #[ignore = "long run: --release -- --ignored"]
+        fn long_run_each_step_emits_at_most_one_rcv(case in faulted()) {
+            steps_emit_one_rcv_and_acks_alone(&case)?;
         }
     }
 }
