@@ -52,20 +52,18 @@
 //! `--record DIR` switches from sweeps to **canonical executions**: each
 //! selected experiment runs its canonical fixed-seed execution once with a
 //! streaming store observer attached, writing `DIR/<id>.amactrace` (format:
-//! `docs/TRACE_FORMAT.md`) and printing the live validator's summary.
-//! `--metrics DIR` runs the same canonical executions with a deterministic
-//! sim-time metrics observer attached and writes one `METRICS_<id>.json`
-//! per experiment (latency/slack histograms, per-node counters, in-flight
-//! depth — see `docs/OBSERVABILITY.md`); `--chrome-trace FILE` exports the
-//! single selected experiment's span timeline as Perfetto-loadable Chrome
-//! trace-event JSON. The three outputs compose freely. The
+//! `docs/TRACE_FORMAT.md`) and printing the live validator's summary. The
 //! `replay` subcommand re-reads stored trace files — `repro replay FILE`
 //! re-runs a fresh `OnlineValidator` over the stored stream and prints the
 //! same summary block (byte-identical to the recording run's, for a
 //! faithful file); `--observer counter|trace|metrics|spans` feeds the
 //! stream to a [`CounterObserver`], a [`TraceObserver`], a metrics
-//! observer (prints the `METRICS` JSON document), or a span observer
-//! (prints the Chrome trace-event JSON) instead.
+//! observer, or a span observer instead. The last two are the only
+//! producers of a run's deterministic sim-time metrics document
+//! (`METRICS_<id>.json` under `--json DIR`: latency/slack histograms,
+//! per-node counters, in-flight depth — see `docs/OBSERVABILITY.md`) and
+//! of its span timeline (Perfetto-loadable Chrome trace-event JSON on
+//! stdout).
 //!
 //! Usage:
 //!
@@ -77,9 +75,9 @@
 //! cargo run --release -p amac-bench --bin repro -- --trials 8 --target-ci 0.05 --max-trials 128
 //! cargo run --release -p amac-bench --bin repro -- consensus_crash --trials 8 --json out/
 //! cargo run --release -p amac-bench --bin repro -- consensus_crash --record traces/
-//! cargo run --release -p amac-bench --bin repro -- scale --metrics out/ --chrome-trace out/scale.trace.json
 //! cargo run --release -p amac-bench --bin repro -- replay traces/consensus_crash.amactrace
-//! cargo run --release -p amac-bench --bin repro -- replay traces/consensus_crash.amactrace --observer metrics
+//! cargo run --release -p amac-bench --bin repro -- replay traces/consensus_crash.amactrace --observer metrics --json out/
+//! cargo run --release -p amac-bench --bin repro -- replay traces/consensus_crash.amactrace --observer spans > trace.json
 //! cargo run --release -p amac-bench --bin repro -- check consensus --nodes 3 --depth full
 //! cargo run --release -p amac-bench --bin repro -- check consensus --broken --fixture cx.amactrace
 //! cargo run --release -p amac-bench --bin repro -- check --smoke  # CI blocking gate
@@ -98,7 +96,7 @@ fn usage_exit() -> ! {
     eprintln!(
         "usage: repro [EXPERIMENT ...] [--list] [--markdown] [--smoke] [--trials N] [--jobs J] \
          [--target-ci FRAC] [--max-trials M] [--dump-traces DIR] [--plots] [--json DIR] \
-         [--record DIR] [--metrics DIR] [--chrome-trace FILE]"
+         [--record DIR]"
     );
     eprintln!(
         "       repro replay FILE [FILE ...] \
@@ -181,8 +179,6 @@ fn main() {
     let mut plots = false;
     let mut json_dir: Option<PathBuf> = None;
     let mut record_dir: Option<PathBuf> = None;
-    let mut metrics_dir: Option<PathBuf> = None;
-    let mut chrome_trace: Option<PathBuf> = None;
     let mut replay_mode = false;
     let mut replay_files: Vec<PathBuf> = Vec::new();
     let mut observer = "validator".to_string();
@@ -225,8 +221,6 @@ fn main() {
             "--plots" => plots = true,
             "--json" => json_dir = Some(dir_arg(&mut args, "--json")),
             "--record" => record_dir = Some(dir_arg(&mut args, "--record")),
-            "--metrics" => metrics_dir = Some(dir_arg(&mut args, "--metrics")),
-            "--chrome-trace" => chrome_trace = Some(dir_arg(&mut args, "--chrome-trace")),
             "--observer" => {
                 observer = args.next().unwrap_or_else(|| {
                     eprintln!(
@@ -311,15 +305,8 @@ fn main() {
         selected
     };
 
-    if record_dir.is_some() || metrics_dir.is_some() || chrome_trace.is_some() {
-        record_canonical(
-            &specs,
-            smoke,
-            record_dir.as_deref(),
-            metrics_dir.as_deref(),
-            chrome_trace.as_deref(),
-            json_dir.as_deref(),
-        );
+    if let Some(dir) = &record_dir {
+        record_canonical(&specs, smoke, dir, json_dir.as_deref());
         return;
     }
 
@@ -467,79 +454,44 @@ fn write_named_json(dir: &Path, docs: &[(String, String)]) {
     );
 }
 
-/// `--record DIR` / `--metrics DIR` / `--chrome-trace FILE`: runs each
-/// selected experiment's canonical fixed-seed execution once with the
-/// requested observers attached (`amac_bench::record`). Recording prints
-/// the live run's summary — the exact block a later `repro replay` must
-/// reproduce; metrics land as `METRICS_<id>.json` under the metrics
-/// directory; the chrome trace is written by the harness as the run
-/// finishes. Every output directory, the chrome trace's parent included,
-/// is created before the first run, so a bad path exits 1 up front.
+/// `--record DIR`: runs each selected experiment's canonical fixed-seed
+/// execution once with a store observer attached (`amac_bench::record`)
+/// and prints the live run's summary — the exact block a later `repro
+/// replay` must reproduce. `DIR` is created before the first run, so a bad
+/// path exits 1 up front.
 fn record_canonical(
     specs: &[&'static ExperimentSpec],
     smoke: bool,
-    record_dir: Option<&Path>,
-    metrics_dir: Option<&Path>,
-    chrome_trace: Option<&Path>,
+    dir: &Path,
     json_dir: Option<&Path>,
 ) {
-    if chrome_trace.is_some() && specs.len() != 1 {
-        eprintln!("--chrome-trace needs exactly one experiment (later runs would overwrite it)");
-        usage_exit()
-    }
-    let chrome_dir = chrome_trace.and_then(Path::parent);
-    for dir in [record_dir, metrics_dir, chrome_dir].into_iter().flatten() {
-        create_dir_or_exit(dir);
-    }
+    create_dir_or_exit(dir);
     let mut json_docs: Vec<(String, String)> = Vec::new();
-    let mut metrics_docs: Vec<(String, String)> = Vec::new();
     for spec in specs {
         let started = Instant::now();
-        let opts = amac_bench::CanonicalOpts {
-            smoke,
-            record: record_dir.map(Path::to_path_buf),
-            metrics: metrics_dir.is_some(),
-            chrome_trace: chrome_trace.map(Path::to_path_buf),
-        };
-        let run = spec.canonical(&opts);
-        if let Some(recorded) = &run.trace {
-            println!("recorded {}", recorded.path.display());
-            println!("{}", recorded.summary);
-            if json_dir.is_some() {
-                json_docs.push((
-                    format!("TRACE_{}.json", sanitize(spec.id)),
-                    amac_bench::json::trace_json(
-                        "record",
-                        &recorded.path.display().to_string(),
-                        &recorded.summary,
-                        started.elapsed().as_secs_f64(),
-                    ),
-                ));
-            }
-        }
-        if let Some(report) = &run.metrics {
-            metrics_docs.push((
-                format!("METRICS_{}.json", sanitize(spec.id)),
-                report.to_json(spec.id),
+        let recorded = spec.record(dir, smoke);
+        println!("recorded {}", recorded.path.display());
+        println!("{}", recorded.summary);
+        if json_dir.is_some() {
+            json_docs.push((
+                format!("TRACE_{}.json", sanitize(spec.id)),
+                amac_bench::json::trace_json(
+                    "record",
+                    &recorded.path.display().to_string(),
+                    &recorded.summary,
+                    started.elapsed().as_secs_f64(),
+                ),
             ));
         }
-        if let Some(path) = chrome_trace {
-            println!("chrome trace {}", path.display());
-        }
-    }
-    if let Some(out) = metrics_dir {
-        write_named_json(out, &metrics_docs);
     }
     if let Some(out) = json_dir {
         write_named_json(out, &json_docs);
     }
-    if let Some(dir) = record_dir {
-        eprintln!(
-            "recorded {} canonical trace(s) to {}",
-            specs.len(),
-            dir.display()
-        );
-    }
+    eprintln!(
+        "recorded {} canonical trace(s) to {}",
+        specs.len(),
+        dir.display()
+    );
 }
 
 /// `check [SCENARIO ...]`: bounded exhaustive exploration via
@@ -699,7 +651,7 @@ fn run_replay(files: &[PathBuf], observer: &str, json_dir: Option<&Path>) {
             // Deterministic sim-time metrics rebuilt from the stored
             // stream alone: the header carries F_prog/F_ack, so the
             // latency/slack histograms come out exactly as a live
-            // `--metrics` run of the same execution would produce them.
+            // metrics observer of the same execution renders them.
             "metrics" => {
                 let header = *reader.header();
                 let mut metrics = amac_obs::MetricsObserver::new(header.config());

@@ -183,15 +183,10 @@ pub fn run_default_with(runner: &TrialRunner) -> AblationAbort {
     run(2, &[8, 32, 128, 512], 32, 2.0, 3, 6, runner)
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> AblationAbort {
     run(2, &[8, 32], 12, 2.0, 2, 6, runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default_with`], tiny sweeps, single trial.
-pub fn run_smoke() -> AblationAbort {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

@@ -231,14 +231,10 @@ pub fn run_default_with(runner: &TrialRunner) -> ConsensusCrash {
     )
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> ConsensusCrash {
     run(2, 12, 10, &[0.0, 0.3], &[8], 0.25, 13, runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI.
-pub fn run_smoke() -> ConsensusCrash {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

@@ -184,14 +184,10 @@ pub fn run_default_with(runner: &TrialRunner) -> Election {
     run(2, 16, 64, &[16, 32, 64, 96], 2.0, 17, runner)
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Election {
     run(2, 12, 24, &[12, 16], 2.0, 17, runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI.
-pub fn run_smoke() -> Election {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

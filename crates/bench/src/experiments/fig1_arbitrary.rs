@@ -262,7 +262,8 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1Arbitrary {
     )
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Arbitrary {
     run(
         MacConfig::from_ticks(2, 32),
@@ -273,12 +274,6 @@ pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Arbitrary {
         0.5,
         runner,
     )
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default_with`], tiny sweeps, single trial.
-pub fn run_smoke() -> Fig1Arbitrary {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

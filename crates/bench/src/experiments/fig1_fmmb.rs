@@ -309,15 +309,10 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1Fmmb {
     )
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1Fmmb {
     run(2, &[8, 32], 12, &[12, 16], 2.0, 2, 5, runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default_with`], tiny sweeps, single trial.
-pub fn run_smoke() -> Fig1Fmmb {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

@@ -166,15 +166,10 @@ pub fn run_default_with(runner: &TrialRunner) -> Fig1RRestricted {
     )
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Fig1RRestricted {
     run(MacConfig::from_ticks(2, 32), 8, 2, &[1, 2], 0.5, 11, runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default_with`], tiny sweeps, single trial.
-pub fn run_smoke() -> Fig1RRestricted {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

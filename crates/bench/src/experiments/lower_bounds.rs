@@ -173,15 +173,10 @@ pub fn run_default_with(runner: &TrialRunner) -> LowerBounds {
     )
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> LowerBounds {
     run(MacConfig::from_ticks(2, 32), &[2, 4], &[2, 4], runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default_with`], tiny sweeps, single trial.
-pub fn run_smoke() -> LowerBounds {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]

@@ -200,7 +200,7 @@ pub struct ExperimentSpec {
     /// clamped to a single trial).
     pub deterministic: bool,
     run: fn(bool, &TrialRunner) -> ExperimentOutput,
-    canonical: fn(&crate::record::CanonicalOpts) -> crate::record::CanonicalRun,
+    record: fn(&std::path::Path, bool) -> crate::record::RecordedTrace,
 }
 
 impl ExperimentSpec {
@@ -210,19 +210,11 @@ impl ExperimentSpec {
         (self.run)(smoke, runner)
     }
 
-    /// Runs the experiment's canonical execution with the given options —
-    /// see [`crate::record`]. Recording, metrics, and chrome-trace export
-    /// are all opt-in through [`CanonicalOpts`](crate::record::CanonicalOpts).
-    pub fn canonical(&self, opts: &crate::record::CanonicalOpts) -> crate::record::CanonicalRun {
-        (self.canonical)(opts)
-    }
-
     /// Records the experiment's canonical execution (`smoke` picks the
     /// small parameterisation) to `dir/<id>.amactrace` — see
     /// [`crate::record`].
     pub fn record(&self, dir: &std::path::Path, smoke: bool) -> crate::record::RecordedTrace {
-        let run = (self.canonical)(&crate::record::CanonicalOpts::recording(dir, smoke));
-        run.trace.expect("recording was requested")
+        (self.record)(dir, smoke)
     }
 }
 
@@ -264,7 +256,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "BMMB on reliable lines: completion tracks O(D*F_prog + k*F_ack) (Fig. 1, KLN11 row)",
             deterministic: fig1_gg::DETERMINISTIC,
             run: run_fig1_gg,
-            canonical: crate::record::fig1_gg,
+            record: crate::record::fig1_gg,
         },
         ExperimentSpec {
             id: "fig1_r_restricted",
@@ -273,7 +265,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "BMMB under r-restricted unreliable augmentation: Thm 3.2/3.16 bound, exact t1 deadline",
             deterministic: false,
             run: run_fig1_r_restricted,
-            canonical: crate::record::fig1_r_restricted,
+            record: crate::record::fig1_r_restricted,
         },
         ExperimentSpec {
             id: "fig1_arbitrary",
@@ -282,7 +274,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "BMMB with arbitrary unreliable links: the O((D+k)*F_ack) slowdown of Thm 3.1",
             deterministic: fig1_arbitrary::DETERMINISTIC,
             run: run_fig1_arbitrary,
-            canonical: crate::record::fig1_arbitrary,
+            record: crate::record::fig1_arbitrary,
         },
         ExperimentSpec {
             id: "lower_bounds",
@@ -291,7 +283,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "choke-star Omega(k*F_ack) and grey-zone Omega(D*F_ack) adversary constructions",
             deterministic: lower_bounds::DETERMINISTIC,
             run: run_lower_bounds,
-            canonical: crate::record::lower_bounds,
+            record: crate::record::lower_bounds,
         },
         ExperimentSpec {
             id: "fig1_fmmb",
@@ -300,7 +292,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "FMMB (MIS + gather + spread) beats BMMB on grey-zone duals: Thm 4.1 regime",
             deterministic: false,
             run: run_fig1_fmmb,
-            canonical: crate::record::fig1_fmmb,
+            record: crate::record::fig1_fmmb,
         },
         ExperimentSpec {
             id: "subroutines",
@@ -309,7 +301,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "MIS O(log^3 n) rounds, gather O(k+log n) periods, spread O((D+k) log n) rounds",
             deterministic: false,
             run: run_subroutines,
-            canonical: crate::record::subroutines,
+            record: crate::record::subroutines,
         },
         ExperimentSpec {
             id: "ablation_abort",
@@ -318,7 +310,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "FMMB with the enhanced-layer abort disabled: what the interface buys (and costs)",
             deterministic: false,
             run: run_ablation_abort,
-            canonical: crate::record::ablation_abort,
+            record: crate::record::ablation_abort,
         },
         ExperimentSpec {
             id: "consensus_crash",
@@ -327,7 +319,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "timed flooding consensus under node crashes: agreement/validity, (f+1)-phase deadline",
             deterministic: false,
             run: run_consensus_crash,
-            canonical: crate::record::consensus_crash,
+            record: crate::record::consensus_crash,
         },
         ExperimentSpec {
             id: "election",
@@ -336,7 +328,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "randomized wake-up/election: convergence vs W + 2(D+1)(F_prog+1), claimant suppression",
             deterministic: false,
             run: run_election,
-            canonical: crate::record::election,
+            record: crate::record::election,
         },
         ExperimentSpec {
             id: "scale",
@@ -345,7 +337,7 @@ pub fn registry() -> &'static [ExperimentSpec] {
             detail: "BMMB floods on 1k..1M-node grid duals: events/s and validator peaks",
             deterministic: scale::DETERMINISTIC,
             run: run_scale,
-            canonical: crate::record::scale,
+            record: crate::record::scale,
         },
     ]
 }

@@ -12,9 +12,7 @@
 use super::LabeledOutlier;
 use crate::engine::{CellResult, TrialRunner, TrialStats};
 use crate::table::{ci_cell, mean_cell, Table};
-use amac_core::{
-    Assignment, Delivered, Fmmb, FmmbParams, Instruments, MessageId, MisStatus, RunOptions,
-};
+use amac_core::{Assignment, Delivered, FmmbParams, Instruments, MessageId, MisStatus, RunOptions};
 use amac_graph::generators::{connected_grey_zone_network, GreyZoneConfig, GreyZoneNetwork};
 use amac_graph::{algo, DualGraph, NodeId, NodeSet};
 use amac_mac::{MacConfig, Policy, RunOutcome, Runtime};
@@ -58,17 +56,7 @@ pub fn run_instrumented<P: Policy>(
     let n = dual.len();
     let schedule = params.schedule(n);
     let round_ticks = config.f_prog().ticks() + 2;
-    let root = SimRng::seed(seed);
-    let nodes: Vec<Fmmb> = (0..n)
-        .map(|i| {
-            Fmmb::new(
-                schedule.clone(),
-                params.activation_probability,
-                root.split(i as u64),
-            )
-        })
-        .collect();
-    let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
+    let mut rt = Runtime::new(dual.clone(), config, params.nodes(n, seed), policy);
     let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
@@ -470,36 +458,42 @@ pub fn run_default_with(runner: &TrialRunner) -> Subroutines {
     run(2, &[16, 32, 64], &[2, 4, 8], 2.0, &[1, 2, 3], runner)
 }
 
-/// Smoke parameterisation at an explicit trial/job count.
+/// Smoke parameterisation (what `repro --smoke` runs) at an explicit
+/// trial/job count.
 pub fn run_smoke_with(runner: &TrialRunner) -> Subroutines {
     run(2, &[8, 12], &[1, 2], 2.0, &[1], runner)
-}
-
-/// A seconds-scale smoke parameterisation used by `repro --smoke` in CI: the
-/// same code paths as [`run_default_with`], tiny sweeps, single trial.
-pub fn run_smoke() -> Subroutines {
-    run_smoke_with(&TrialRunner::single())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn instrumented_run_reaches_all_milestones() {
+    use amac_mac::policies::LazyPolicy;
+    use amac_mac::trace::TraceKind;
+    use amac_mac::CounterObserver;
+    use amac_store::{replay_into, TraceReader};
+
+    /// A 20-node grey-zone network, FMMB parameters for it, and a
+    /// 2-message assignment.
+    fn small_network() -> (DualGraph, FmmbParams, Assignment) {
         let mut rng = SimRng::seed(8);
         let net = connected_grey_zone_network(&GreyZoneConfig::new(20, 3.2), 200, &mut rng)
             .expect("connected");
-        let cfg = MacConfig::from_ticks(2, 16).enhanced();
         let params = FmmbParams::new(2, net.dual.diameter());
         let assignment = Assignment::random(20, 2, &mut rng);
+        (net.dual, params, assignment)
+    }
+
+    #[test]
+    fn instrumented_run_reaches_all_milestones() {
+        let (dual, params, assignment) = small_network();
         let m = run_instrumented(
-            &net.dual,
-            cfg,
+            &dual,
+            MacConfig::from_ticks(2, 16).enhanced(),
             &assignment,
             &params,
             3,
-            amac_mac::policies::LazyPolicy::new(),
+            LazyPolicy::new(),
             &RunOptions::fast(),
         );
         assert!(m.mis_valid);
@@ -509,6 +503,39 @@ mod tests {
         // Milestones are ordered: decide, then gather, then complete.
         assert!(m.gather_done_round >= m.all_decided_round);
         assert!(m.completion_round >= m.gather_done_round);
+    }
+
+    #[test]
+    fn instrumented_run_honours_without_abort() {
+        let (dual, params, assignment) = small_network();
+        let dir = std::env::temp_dir().join(format!(
+            "amac-bench-subroutines-abort-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Records one instrumented run and counts its aborts in the
+        // replayed recording.
+        let aborts = |params: &FmmbParams| {
+            let path = dir.join("run.amactrace");
+            run_instrumented(
+                &dual,
+                MacConfig::from_ticks(2, 16).enhanced(),
+                &assignment,
+                params,
+                3,
+                LazyPolicy::new(),
+                &RunOptions::fast().recording(&path, 3),
+            );
+            let mut counter = CounterObserver::new();
+            replay_into(&mut TraceReader::open(&path).unwrap(), &mut counter).unwrap();
+            counter.count(TraceKind::Abort)
+        };
+        assert!(
+            aborts(&params) > 0,
+            "the paper's FMMB aborts its broadcasts"
+        );
+        assert_eq!(aborts(&params.clone().without_abort()), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -245,10 +245,7 @@ mod tests {
     fn trace_document_shape_is_valid_enough() {
         let dir = std::env::temp_dir().join("amac-bench-json-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let opts = crate::record::CanonicalOpts::recording(&dir, true);
-        let recorded = crate::record::consensus_crash(&opts)
-            .trace
-            .expect("recording was requested");
+        let recorded = crate::record::consensus_crash(&dir, true);
         let doc = trace_json("recorded", "traces/x.amactrace", &recorded.summary, 0.5);
         assert!(doc.starts_with("{\n"));
         assert!(doc.ends_with("}\n"));

@@ -32,4 +32,4 @@ pub mod table;
 
 pub use engine::{TrialRunner, TrialStats};
 pub use experiments::SweepPoint;
-pub use record::{CanonicalOpts, CanonicalRun, RecordedTrace};
+pub use record::RecordedTrace;

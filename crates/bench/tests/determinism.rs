@@ -4,8 +4,16 @@
 
 use amac_bench::engine::TrialRunner;
 use amac_bench::experiments::{self, LabeledOutlier};
+use amac_core::{run_bmmb, run_fmmb, Assignment, FmmbParams, RunOptions};
+use amac_graph::generators::{self, connected_grey_zone_network, GreyZoneConfig};
+use amac_graph::{DualGraph, NodeId};
+use amac_mac::policies::LazyPolicy;
+use amac_mac::{FaultPlan, MacConfig};
+use amac_obs::{MetricsObserver, MetricsReport, SpanObserver};
+use amac_proto::consensus::{run_consensus, ConsensusParams};
+use amac_sim::{SimRng, Time};
 use amac_store::{replay_into, replay_validate, TraceReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn assert_jobs_invariant(render: impl Fn(&TrialRunner) -> String, label: &str) {
     let serial = render(&TrialRunner::new(4, 1));
@@ -314,16 +322,13 @@ fn scale_tables_are_jobs_invariant_modulo_wall_clock() {
     );
 }
 
-/// Runs an experiment's canonical execution with metrics enabled (and,
-/// when `trace` is set, a chrome-trace export written to that path).
-fn canonical_obs(id: &str, trace: Option<std::path::PathBuf>) -> amac_bench::CanonicalRun {
-    let spec = experiments::find(id).expect("registry id");
-    spec.canonical(&amac_bench::CanonicalOpts {
-        smoke: true,
-        metrics: true,
-        chrome_trace: trace,
-        ..amac_bench::CanonicalOpts::default()
-    })
+/// The metrics rebuilt from the recording at `path` alone, as `repro
+/// replay FILE --observer metrics` renders them.
+fn replayed_metrics(path: &Path) -> MetricsReport {
+    let mut reader = TraceReader::open(path).unwrap();
+    let mut metrics = MetricsObserver::new(reader.header().config());
+    replay_into(&mut reader, &mut metrics).unwrap();
+    metrics.into_report()
 }
 
 #[test]
@@ -331,69 +336,112 @@ fn fault_free_metrics_respect_the_ack_bound() {
     // Every fault-free canonical run must deliver within F_ack: the
     // delivery-latency histogram's upper edge is bounded by the model's
     // ack deadline (consensus_crash injects crashes and is exempt).
+    let dir = capture_dir("ack-bound");
     for id in ["fig1_gg", "fig1_fmmb", "scale"] {
-        let metrics = canonical_obs(id, None)
-            .metrics
-            .expect("metrics were requested");
+        let spec = experiments::find(id).expect("registry id");
+        let metrics = replayed_metrics(&spec.record(&dir, true).path);
         assert!(metrics.bcasts > 0, "{id}: empty run");
         assert!(
             metrics.delivery_within_ack_bound(),
             "{id}: fault-free delivery latency exceeded F_ack"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn canonical_chrome_trace_is_repeatable_and_has_spans() {
-    // The span timeline of the canonical scale run is a Chrome trace-event
-    // document with complete spans, and two runs export the same bytes.
-    let dir = std::env::temp_dir().join("amac-bench-determinism-spans");
-    std::fs::create_dir_all(&dir).unwrap();
-    let render = |run: usize| {
-        let path = dir.join(format!("trace-{run}.json"));
-        canonical_obs("scale", Some(path.clone()));
-        let doc = std::fs::read_to_string(&path).expect("chrome trace written");
-        std::fs::remove_file(&path).ok();
-        doc
+    // The span timeline of the canonical scale run, rebuilt from its
+    // recording (`repro replay FILE --observer spans`), is a Chrome
+    // trace-event document with complete spans, and two runs give the
+    // same bytes.
+    let dir = capture_dir("spans");
+    let spec = experiments::find("scale").expect("registry id");
+    let render = || {
+        let mut spans = SpanObserver::new();
+        let path = spec.record(&dir, true).path;
+        replay_into(&mut TraceReader::open(&path).unwrap(), &mut spans).unwrap();
+        spans.to_chrome_json()
     };
-    let first = render(0);
+    let first = render();
     assert!(first.starts_with("{\"traceEvents\":["));
     assert!(first.contains("\"ph\":\"X\""), "spans present");
     assert_eq!(
         first,
-        render(1),
+        render(),
         "SCALE: the chrome trace must be repeatable"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn replayed_metrics_match_live_metrics() {
     // Determinism contract item 3 of docs/OBSERVABILITY.md: the recording's
     // header carries F_prog/F_ack, so metrics rebuilt from the file alone
-    // (`repro replay --observer metrics`) are the live run's document.
+    // (`repro replay --observer metrics`) are the document a live
+    // `MetricsObserver` renders for the same run, byte for byte — through
+    // the BMMB, FMMB (aborts) and consensus (crashes) harnesses.
     let dir = capture_dir("replayed-metrics");
-    for spec in experiments::registry() {
-        let run = spec.canonical(&amac_bench::CanonicalOpts {
-            smoke: true,
-            record: Some(dir.clone()),
-            metrics: true,
-            ..amac_bench::CanonicalOpts::default()
-        });
-        let live = run
-            .metrics
-            .expect("metrics were requested")
-            .to_json(spec.id);
-        let path = run.trace.expect("recording was requested").path;
-        let mut reader = TraceReader::open(&path).unwrap();
-        let mut replayed = amac_obs::MetricsObserver::new(reader.header().config());
-        replay_into(&mut reader, &mut replayed).unwrap();
+    let options = |name: &str| {
+        RunOptions::default()
+            .recording(dir.join(format!("{name}.amactrace")), 0)
+            .with_metrics()
+    };
+    let compare = |name: &str, live: Option<MetricsReport>| {
+        let live = live.expect("metrics were requested");
+        let replayed = replayed_metrics(&dir.join(format!("{name}.amactrace")));
         assert_eq!(
-            replayed.into_report().to_json(spec.id),
-            live,
-            "{}: replayed metrics must match the live document byte for byte",
-            spec.id
+            replayed.to_json(name),
+            live.to_json(name),
+            "{name}: replayed metrics must match the live document byte for byte"
         );
-    }
+        live
+    };
+
+    let mut rng = SimRng::seed(0xF1_22);
+    let line = generators::line(9).unwrap();
+    let dual = generators::r_restricted_augment(line, 2, 0.5, &mut rng).unwrap();
+    let bmmb = run_bmmb(
+        &dual,
+        MacConfig::from_ticks(2, 40),
+        &Assignment::all_at(NodeId::new(0), 4),
+        LazyPolicy::new().prefer_duplicates(),
+        &options("bmmb"),
+    );
+    assert!(compare("bmmb", bmmb.metrics).bcasts > 0);
+
+    let mut rng = SimRng::seed(8);
+    let net = connected_grey_zone_network(&GreyZoneConfig::new(20, 3.2), 200, &mut rng).unwrap();
+    let assignment = Assignment::random(20, 2, &mut rng);
+    let fmmb = run_fmmb(
+        &net.dual,
+        MacConfig::from_ticks(2, 16).enhanced(),
+        &assignment,
+        &FmmbParams::new(2, net.dual.diameter()),
+        3,
+        LazyPolicy::new(),
+        &options("fmmb").stopping_on_completion(),
+    );
+    assert!(compare("fmmb", fmmb.metrics).aborts > 0, "FMMB aborts");
+
+    let config = MacConfig::from_ticks(2, 16).enhanced();
+    let params = ConsensusParams::for_crashes(2, &config);
+    let mut rng = SimRng::seed(0xC0_45);
+    let initial: Vec<bool> = (0..8).map(|_| rng.chance(0.5)).collect();
+    let window = Time::ZERO + params.phase_len.times(params.phases);
+    let consensus = run_consensus(
+        &DualGraph::reliable(generators::complete(8).unwrap()),
+        config,
+        &initial,
+        &params,
+        FaultPlan::random_crashes(8, 2, window, &mut rng),
+        LazyPolicy::new().prefer_duplicates(),
+        &options("consensus"),
+    );
+    assert!(
+        compare("consensus", consensus.metrics).faults > 0,
+        "crashes"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,6 +1,7 @@
 //! The `repro` binary's output paths, driven end to end: a requested
-//! output lands even when its directory does not exist yet, and a path
-//! that cannot be created fails before any experiment runs.
+//! output lands even when its directory does not exist yet, a path that
+//! cannot be created fails before any experiment runs, and a recording
+//! replays into the metrics document and the span timeline.
 
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
@@ -22,37 +23,57 @@ fn repro(args: &[&str], paths: &[&Path]) -> Output {
         .expect("repro starts")
 }
 
-fn repro_chrome_trace(path: &Path) -> Output {
-    repro(&["fig1_gg", "--smoke", "--chrome-trace"], &[path])
+fn repro_record(dir: &Path) -> Output {
+    repro(&["fig1_gg", "--smoke", "--record"], &[dir])
 }
 
 #[test]
-fn chrome_trace_creates_its_missing_parent_directory() {
-    let dir = scratch("chrome");
-    let path = dir.join("nested").join("fig1_gg.json");
-    let out = repro_chrome_trace(&path);
+fn record_creates_its_missing_nested_directory() {
+    let dir = scratch("record");
+    let nested = dir.join("nested").join("traces");
+    let out = repro_record(&nested);
     assert!(
         out.status.success(),
         "{:?}: {}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let doc = std::fs::read_to_string(&path).expect("chrome trace written");
-    assert!(doc.starts_with("{\"traceEvents\":["), "{doc}");
+    assert!(nested.join("fig1_gg.amactrace").is_file());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn uncreatable_chrome_trace_directory_exits_1_before_running() {
+fn uncreatable_record_directory_exits_1_before_running() {
     let dir = scratch("blocked");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("not-a-dir");
     std::fs::write(&file, "").unwrap();
-    let out = repro_chrome_trace(&file.join("fig1_gg.json"));
+    let out = repro_record(&file.join("traces"));
     assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot create"), "{stderr}");
     assert!(out.stdout.is_empty(), "no experiment may run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn replay_renders_metrics_and_spans_from_a_recording() {
+    let dir = scratch("views");
+    assert!(repro_record(&dir).status.success());
+    let trace = dir.join("fig1_gg.amactrace");
+    let out_dir = dir.join("out");
+    let metrics = repro(
+        &["replay", "--observer", "metrics", "--json"],
+        &[&out_dir, &trace],
+    );
+    assert!(metrics.status.success(), "{:?}", metrics.status);
+    let doc = std::fs::read(out_dir.join("METRICS_fig1_gg.json")).expect("metrics written");
+    assert_eq!(doc, metrics.stdout, "the file is the printed document");
+    assert!(doc.starts_with(b"{\n  \"schema\": \"amac-metrics-v1\",\n"));
+    let spans = repro(&["replay", "--observer", "spans"], &[&trace]);
+    assert!(spans.status.success(), "{:?}", spans.status);
+    let timeline = String::from_utf8_lossy(&spans.stdout);
+    assert!(timeline.starts_with("{\"traceEvents\":["), "{timeline}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

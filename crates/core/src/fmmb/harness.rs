@@ -1,14 +1,14 @@
 //! FMMB execution harness: builds the per-node automata, runs the
 //! schedule, and reports completion plus MIS diagnostics.
 
-use super::node::{Fmmb, MisStatus};
+use super::node::MisStatus;
 use super::params::FmmbParams;
 use crate::harness::{InstrumentReport, Instruments, RunOptions};
 use crate::mmb::{Assignment, CompletionTracker, Delivered};
 use amac_graph::{algo, DualGraph, NodeId, NodeSet};
 use amac_mac::{MacConfig, OnlineStats, Policy, RunOutcome, Runtime, ValidationReport};
 use amac_sim::stats::Counters;
-use amac_sim::{SimRng, Time};
+use amac_sim::Time;
 use std::fmt;
 
 /// Result of one FMMB run.
@@ -90,8 +90,8 @@ impl fmt::Display for FmmbReport {
 
 /// Runs FMMB over `dual` under the enhanced MAC layer.
 ///
-/// `seed` derives each node's private random stream (`seed.split(node)`),
-/// mirroring the paper's up-front randomness model.
+/// `seed` derives each node's private random stream (see
+/// [`FmmbParams::nodes`]), mirroring the paper's up-front randomness model.
 ///
 /// # Panics
 ///
@@ -136,24 +136,7 @@ pub fn run_fmmb<P: Policy>(
         "FMMB requires the enhanced abstract MAC layer (use MacConfig::enhanced)"
     );
     let n = dual.len();
-    let schedule = params.schedule(n);
-    let root = SimRng::seed(seed);
-    let nodes: Vec<Fmmb> = (0..n)
-        .map(|i| {
-            let node = Fmmb::new(
-                schedule.clone(),
-                params.activation_probability,
-                root.split(i as u64),
-            );
-            if params.use_abort {
-                node
-            } else {
-                node.without_abort()
-            }
-        })
-        .collect();
-
-    let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
+    let mut rt = Runtime::new(dual.clone(), config, params.nodes(n, seed), policy);
     let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
@@ -199,7 +182,7 @@ pub fn run_fmmb<P: Policy>(
         counters: rt.counters(),
         validation,
         validator_stats,
-        schedule_rounds: schedule.total_rounds(),
+        schedule_rounds: params.schedule(n).total_rounds(),
         trace: None,
         shard_stats: None,
         metrics,
@@ -211,6 +194,7 @@ mod tests {
     use super::*;
     use amac_graph::generators;
     use amac_mac::policies::{EagerPolicy, LazyPolicy};
+    use amac_sim::SimRng;
 
     fn grey_net(n: usize, side: f64, seed: u64) -> amac_graph::generators::GreyZoneNetwork {
         let mut rng = SimRng::seed(seed);

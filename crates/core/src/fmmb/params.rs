@@ -19,6 +19,8 @@
 //! knowledge at a constant-factor cost.
 
 use crate::bounds::log2_ceil;
+use crate::Fmmb;
+use amac_sim::SimRng;
 
 /// Tuning constants for [`Fmmb`](crate::Fmmb).
 #[derive(Clone, Debug, PartialEq)]
@@ -98,6 +100,30 @@ impl FmmbParams {
         self.gather_factor *= scale;
         self.lb_factor *= scale;
         self
+    }
+
+    /// Builds the `n` FMMB processes of one run: each follows
+    /// [`schedule(n)`](FmmbParams::schedule), draws from its own stream
+    /// `SimRng::seed(seed).split(node)` (the paper's up-front randomness
+    /// model), and uses the abort interface exactly when
+    /// [`use_abort`](FmmbParams::use_abort) is set.
+    pub fn nodes(&self, n: usize, seed: u64) -> Vec<Fmmb> {
+        let schedule = self.schedule(n);
+        let root = SimRng::seed(seed);
+        (0..n)
+            .map(|i| {
+                let node = Fmmb::new(
+                    schedule.clone(),
+                    self.activation_probability,
+                    root.split(i as u64),
+                );
+                if self.use_abort {
+                    node
+                } else {
+                    node.without_abort()
+                }
+            })
+            .collect()
     }
 
     /// Computes the concrete schedule for a network of `n` nodes.

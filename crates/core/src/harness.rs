@@ -9,7 +9,7 @@ use amac_mac::{
     Automaton, FaultPlan, MacConfig, ObserverHandle, OnlineStats, OnlineValidator, Policy,
     RunOutcome, Runtime, ValidationReport,
 };
-use amac_obs::{MetricsObserver, MetricsReport, SpanObserver};
+use amac_obs::{MetricsObserver, MetricsReport};
 use amac_sim::stats::Counters;
 use amac_sim::Time;
 use amac_store::StoreObserver;
@@ -38,10 +38,6 @@ pub struct RunOptions {
     /// [`amac_obs::MetricsReport`] in the report: sim-time latency/slack
     /// histograms, per-node counters, and the in-flight depth series.
     pub metrics: bool,
-    /// Attach an [`amac_obs::SpanObserver`] and export the execution's
-    /// span timeline as Chrome trace-event JSON (Perfetto-loadable) to
-    /// this file when the run finishes.
-    pub chrome_trace: Option<PathBuf>,
 }
 
 impl Default for RunOptions {
@@ -51,7 +47,6 @@ impl Default for RunOptions {
             stop_on_completion: false,
             record: None,
             metrics: false,
-            chrome_trace: None,
         }
     }
 }
@@ -84,13 +79,6 @@ impl RunOptions {
         self.metrics = true;
         self
     }
-
-    /// Exports the span timeline as Chrome trace-event JSON to `path`
-    /// when the run finishes (see [`RunOptions::chrome_trace`]).
-    pub fn with_chrome_trace(mut self, path: impl AsRef<Path>) -> RunOptions {
-        self.chrome_trace = Some(path.as_ref().to_path_buf());
-        self
-    }
 }
 
 /// The observers a [`RunOptions`] selects, attached to one runtime: the
@@ -106,7 +94,6 @@ pub struct Instruments {
     validator: Option<ObserverHandle<OnlineValidator>>,
     recorder: Option<ObserverHandle<StoreObserver>>,
     metrics: Option<ObserverHandle<MetricsObserver>>,
-    spans: Option<(ObserverHandle<SpanObserver>, PathBuf)>,
 }
 
 /// What the instruments of one run produced; each field is `Some` exactly
@@ -126,7 +113,7 @@ impl Instruments {
     /// Attaches the observers `options` selects to a freshly built
     /// runtime, in this order: [`OnlineValidator`],
     /// [`StoreObserver`] (whose header also digests `faults`),
-    /// [`MetricsObserver`], [`SpanObserver`].
+    /// [`MetricsObserver`].
     ///
     /// # Panics
     ///
@@ -152,23 +139,19 @@ impl Instruments {
             metrics: options
                 .metrics
                 .then(|| rt.attach(MetricsObserver::new(config))),
-            spans: options
-                .chrome_trace
-                .clone()
-                .map(|path| (rt.attach(SpanObserver::new()), path)),
         }
     }
 
     /// Detaches every observer in attach order and seals it: the
     /// validator judges the run (quiescent iff `outcome` is
     /// [`RunOutcome::Idle`]), the recording gets its End record, and the
-    /// span timeline is written to [`RunOptions::chrome_trace`].
+    /// metrics become a report.
     ///
     /// # Panics
     ///
-    /// Panics when the recording cannot be sealed (an unfinished
-    /// recording is an unreadable file) or the chrome trace cannot be
-    /// written — both were explicitly requested.
+    /// Panics when the recording cannot be sealed: an unfinished
+    /// recording is an unreadable file, and recording was explicitly
+    /// requested.
     pub fn finish<A: Automaton, P: Policy>(
         self,
         rt: &mut Runtime<A, P>,
@@ -184,11 +167,6 @@ impl Instruments {
             }
         }
         let metrics = self.metrics.map(|handle| rt.detach(handle).into_report());
-        if let Some((handle, path)) = self.spans {
-            if let Err(e) = std::fs::write(&path, rt.detach(handle).to_chrome_json()) {
-                panic!("cannot write chrome trace to {}: {e}", path.display());
-            }
-        }
         InstrumentReport {
             validation,
             validator_stats,
@@ -470,14 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn instruments_attach_and_seal_all_four_observers() {
+    fn instruments_attach_and_seal_all_three_observers() {
         let dir = std::env::temp_dir().join("amac-core-instruments-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let (record, chrome) = (dir.join("flood.amactrace"), dir.join("flood.json"));
-        let options = RunOptions::default()
-            .recording(&record, 3)
-            .with_metrics()
-            .with_chrome_trace(&chrome);
+        let record = dir.join("flood.amactrace");
+        let options = RunOptions::default().recording(&record, 3).with_metrics();
         let (report, outcome) = instrumented_flood(&options, 6, Time::MAX);
         assert_eq!(outcome, RunOutcome::Idle);
         let validation = report.validation.expect("validated");
@@ -493,15 +468,13 @@ mod tests {
             "the sealed recording replays to the live run"
         );
         assert!(live.quiescent);
-        let doc = std::fs::read_to_string(&chrome).unwrap();
-        assert!(doc.starts_with("{\"traceEvents\":["), "{doc}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fast_options_attach_nothing() {
-        // `fast()` names no recording or chrome-trace path, so there is
-        // no file to write either.
+        // `fast()` names no recording path, so there is no file to write
+        // either.
         let (report, _) = instrumented_flood(&RunOptions::fast(), 6, Time::MAX);
         assert!(report.validation.is_none());
         assert!(report.validator_stats.is_none());

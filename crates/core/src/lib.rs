@@ -19,9 +19,10 @@
 //!   model-conformance validation.
 //! * [`RunOptions`] / [`Instruments`] — what a run observes, and the one
 //!   place that attaches those observers (streaming validator,
-//!   `.amactrace` recorder, metrics, chrome-trace spans) to a runtime and
-//!   seals them into an [`InstrumentReport`]; every harness, the
-//!   `amac-proto` services included, goes through it.
+//!   `.amactrace` recorder, metrics) to a runtime and seals them into an
+//!   [`InstrumentReport`]; every harness, the `amac-proto` services
+//!   included, goes through it. Span timelines are rebuilt from a
+//!   recording (`repro replay FILE --observer spans`).
 //!
 //! ## Quick start
 //!

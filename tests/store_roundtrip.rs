@@ -236,10 +236,7 @@ fn hostile_node_counts_are_rejected() {
 fn recorded_and_replayed_summaries_render_identically() {
     let dir = std::env::temp_dir().join("amac-store-roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
-    let opts = amac::bench::CanonicalOpts::recording(&dir, true);
-    let recorded = amac::bench::record::consensus_crash(&opts)
-        .trace
-        .expect("recording was requested");
+    let recorded = amac::bench::record::consensus_crash(&dir, true);
     let replayed = replay_validate(TraceReader::open(&recorded.path).unwrap()).unwrap();
     assert_eq!(recorded.summary.to_string(), replayed.to_string());
     std::fs::remove_file(&recorded.path).ok();

@@ -19,8 +19,8 @@ fn facade_reexports_resolve() {
     let _mac: amac::mac::MacConfig = amac::mac::MacConfig::from_ticks(1, 2);
     let _core: amac::core::Assignment = amac::core::Assignment::all_at(NodeId::new(0), 1);
     let _lower: &str = core::any::type_name::<amac::lower::LowerBoundReport>();
-    let _bench: fn() -> amac::bench::experiments::fig1_gg::Fig1Gg =
-        amac::bench::experiments::fig1_gg::run_smoke;
+    let _bench: fn(&amac::bench::TrialRunner) -> amac::bench::experiments::fig1_gg::Fig1Gg =
+        amac::bench::experiments::fig1_gg::run_smoke_with;
 }
 
 /// The quickstart flow on a 10-node line: 2 messages from node 0, lazy
